@@ -3,11 +3,13 @@
    Subcommands:
      lastcpu topology             print the booted system (Figure 1)
      lastcpu figure2 [--trace]    run the KVS bring-up and show the sequence
-     lastcpu experiment <id>      run one experiment table (f1..t12)
+     lastcpu experiment <id>      run experiment tables (f1..t17)
      lastcpu kv <n>               run n KV smoke operations end to end
      lastcpu metrics [--json]     run a booted KVS workload, dump telemetry
-     lastcpu chaos [--json]       run the T13 fault soak, dump telemetry
-     lastcpu overload [--json]    run the guarded T14 overload soak, dump telemetry *)
+                 [--exp t13|t14]  ... or an experiment's soak (T13 chaos,
+                                  guarded T14 overload)
+     lastcpu fuzz                 run the protocol fuzzer, print its summary
+     lastcpu sanitize             replay experiments under perturbed ties *)
 
 open Cmdliner
 
@@ -93,21 +95,9 @@ let known_ids =
   [ "f1"; "f2"; "t1"; "t1-notokens"; "t2"; "t3"; "t4"; "t5"; "t6"; "t7"; "t8";
     "t9"; "t10"; "t11"; "t12"; "t13"; "t14"; "t15"; "t16"; "t17" ]
 
-(* The one line the resume-smoke CI job diffs between an uninterrupted
-   checkpointed run and a killed-then-resumed one: everything observable,
-   nothing about provenance (which leg ran how many segments goes to
-   stderr). *)
-let t16_final_line (r : Experiments.t16_result) =
-  Printf.sprintf "t16 final: digest=0x%016Lx events=%d elapsed_ns=%Ld"
-    r.Experiments.t16_digest r.Experiments.t16_events r.Experiments.t16_elapsed
-
-let t17_final_line (r : Experiments.t17_result) =
-  Printf.sprintf
-    "t17 final: digest=0x%016Lx events=%d elapsed_ns=%Ld quarantines=%d \
-     stale=%d failovers=%d trust=%s"
-    r.Experiments.t17_digest r.Experiments.t17_events r.Experiments.t17_elapsed
-    r.Experiments.t17_quarantines r.Experiments.t17_stale
-    r.Experiments.t17_failovers r.Experiments.t17_rogue_trust
+let generation_name = function
+  | Snapshot.Primary -> "primary"
+  | Snapshot.Previous -> "previous"
 
 (* Each experiment owns its engine, so distinct ids are independent tasks:
    render every table to a string (in the worker domain), then print the
@@ -120,49 +110,49 @@ let experiment list jobs shards seed snapshot_path checkpoint_every kill_at ids
     0
   end
   else
-    match snapshot_path with
-    | Some path -> (
-      (* Checkpointed soak mode: run the single t16 leg this process is
-         asked for, writing whole-machine snapshots at segment
-         boundaries. [--chaos-kill-at B] emulates a kill mid-checkpoint:
-         the boundary-B snapshot is written deliberately torn and the
-         process dies with the canonical SIGKILL exit status. *)
-      match ids with
-      | [] | [ "t16" ] -> (
-        let r =
-          Experiments.t16_soak ~lanes:shards ~seed ~snapshot_path:path
-            ~checkpoint_every ?stop_after:kill_at
-            ~torn_final:(kill_at <> None) ()
-        in
-        match kill_at with
-        | Some _ ->
-          Printf.eprintf
-            "killed mid-checkpoint after %d segment(s); torn snapshot at %s\n"
-            r.Experiments.t16_segments_run path;
-          exit 137
-        | None ->
-          print_endline (t16_final_line r);
-          0)
-      | [ "t17" ] -> (
-        let r =
-          Experiments.t17_soak ~seed ~snapshot_path:path ~checkpoint_every
-            ?stop_after:kill_at ~torn_final:(kill_at <> None) ()
-        in
-        match kill_at with
-        | Some _ ->
-          Printf.eprintf
-            "killed mid-checkpoint after %d segment(s); torn snapshot at %s\n"
-            r.Experiments.t17_segments_run path;
-          exit 137
-        | None ->
-          print_endline (t17_final_line r);
-          0)
+    match (snapshot_path, kill_at) with
+    | None, Some _ ->
+      prerr_endline "--chaos-kill-at needs --snapshot-path";
+      2
+    | Some path, _ -> (
+      (* Checkpointed soak mode: run the one soak leg this process is asked
+         for, writing whole-machine snapshots at segment boundaries and
+         resuming from [path] when a snapshot is already there.
+         [--chaos-kill-at B] emulates a kill mid-checkpoint: the
+         boundary-B snapshot is written deliberately torn and the process
+         dies with the canonical SIGKILL exit status. *)
+      match List.map Experiments.soak_by_id ids with
+      | [ Some soak ] -> (
+        match
+          Experiments.run_soak ~lanes:shards ~seed ~snapshot_path:path
+            ~checkpoint_every ?kill_at soak
+        with
+        | exception Invalid_argument e ->
+          Printf.eprintf "%s\n" e;
+          2
+        | r -> (
+          (match r.Experiments.soak_restored with
+          | Some g ->
+            Printf.eprintf
+              "resumed from %s generation; ran %d remaining segment(s)\n"
+              (generation_name g) r.Experiments.soak_segments_run
+          | None -> ());
+          match kill_at with
+          | Some _ ->
+            Printf.eprintf
+              "killed mid-checkpoint after %d segment(s); torn snapshot at %s\n"
+              r.Experiments.soak_segments_run path;
+            exit 137
+          | None ->
+            print_endline (Experiments.final_line r);
+            0))
       | _ ->
         Printf.eprintf
-          "--snapshot-path drives the t16 and t17 soaks only (got: %s)\n"
+          "--snapshot-path drives exactly one checkpointed soak, t16 or t17 \
+           (got: %s)\n"
           (String.concat " " ids);
         1)
-    | None ->
+    | None, None ->
       let render id () =
         match Experiments.by_id ~shards id with
         | None -> Error id
@@ -189,10 +179,10 @@ let jobs_arg =
 
 let shards_arg =
   let doc =
-    "Execute t15's shard windows on $(docv) domains (execution lanes). The \
-     cluster topology is fixed, so output bytes are identical for any \
-     value — that invariance is the temporal-decoupling determinism \
-     contract CI checks. Other experiments ignore this."
+    "Execute the shard windows of t15 and t16 on $(docv) domains \
+     (execution lanes). The cluster topology is fixed, so output bytes are \
+     identical for any value — that invariance is the temporal-decoupling \
+     determinism contract CI checks. Other experiments ignore this."
   in
   Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
 
@@ -200,7 +190,12 @@ let snapshot_path_arg =
   let doc =
     "Run the t16 (or t17) soak in checkpointed mode, writing a whole-machine \
      snapshot to $(docv) at every segment boundary (the displaced \
-     previous file is kept as a fallback generation)."
+     previous file is kept as a fallback generation). If $(docv) or its \
+     previous generation already exists the run resumes from it: the \
+     identical topology is rebuilt, the snapshot overlaid (falling back a \
+     generation when the primary is torn) and the remaining segments run; \
+     the final line printed is byte-identical to an uninterrupted run's. \
+     A snapshot that cannot be restored fails the run."
   in
   Arg.(
     value & opt (some string) None & info [ "snapshot-path" ] ~docv:"FILE" ~doc)
@@ -214,7 +209,8 @@ let chaos_kill_arg =
     "Chaos hook: die 'mid-checkpoint' at segment boundary $(docv) — the \
      snapshot written there is deliberately torn (truncated, as if the \
      process was killed between write and rename) and the process exits \
-     with status 137. Resume with 'lastcpu resume'."
+     with status 137. Re-run with the same $(b,--snapshot-path) to resume. \
+     $(docv) must be a boundary where a checkpoint is written."
   in
   Arg.(value & opt (some int) None & info [ "chaos-kill-at" ] ~docv:"B" ~doc)
 
@@ -230,64 +226,6 @@ let experiment_cmd =
     Term.(
       const experiment $ list_arg $ jobs_arg $ shards_arg $ seed_arg
       $ snapshot_path_arg $ checkpoint_every_arg $ chaos_kill_arg $ ids)
-
-(* --- resume ------------------------------------------------------------------------ *)
-
-let generation_name = function
-  | Snapshot.Primary -> "primary"
-  | Snapshot.Previous -> "previous"
-
-let resume seed shards exp path =
-  match exp with
-  | "t16" ->
-    let r =
-      Experiments.t16_soak ~lanes:shards ~seed ~snapshot_path:path ~resume:true
-        ()
-    in
-    (match r.Experiments.t16_restored with
-    | Some g ->
-      Printf.eprintf "resumed from %s generation; ran %d remaining segment(s)\n"
-        (generation_name g) r.Experiments.t16_segments_run
-    | None -> ());
-    print_endline (t16_final_line r);
-    0
-  | "t17" ->
-    let r =
-      Experiments.t17_soak ~seed ~snapshot_path:path ~resume:true ()
-    in
-    (match r.Experiments.t17_restored with
-    | Some g ->
-      Printf.eprintf "resumed from %s generation; ran %d remaining segment(s)\n"
-        (generation_name g) r.Experiments.t17_segments_run
-    | None -> ());
-    print_endline (t17_final_line r);
-    0
-  | other ->
-    Printf.eprintf "resume drives the t16 and t17 soaks only (got: %s)\n" other;
-    1
-
-let resume_cmd =
-  let doc =
-    "Resume a killed t16 soak from its snapshot file: rebuild the \
-     identical topology (same seed), overlay the on-disk state — falling \
-     back to the previous generation when the primary is torn or corrupt \
-     — and run the remaining segments. The final line printed is \
-     byte-identical to an uninterrupted run's."
-  in
-  let path =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FILE" ~doc:"Snapshot file written by the killed run.")
-  in
-  let exp =
-    Arg.(
-      value
-      & opt string "t16"
-      & info [ "exp" ] ~docv:"ID" ~doc:"Soak to resume: t16 or t17.")
-  in
-  Cmd.v (Cmd.info "resume" ~doc)
-    Term.(const resume $ seed_arg $ shards_arg $ exp $ path)
 
 (* --- kv ----------------------------------------------------------------------- *)
 
@@ -322,15 +260,14 @@ let kv_cmd =
 
 (* --- metrics -------------------------------------------------------------------- *)
 
-let metrics seed n json =
+(* Boot the KVS scenario and drive some traffic so the registry has
+   something to show. *)
+let drive_kvs seed n =
   match Scenario.run ~spec:(spec_of_seed seed) ~smoke_ops:0 () with
-  | Error e ->
-    Printf.eprintf "scenario failed: %s\n" e;
-    1
+  | Error e -> Error e
   | Ok outcome ->
     let system = outcome.Scenario.system in
     let app = outcome.Scenario.app in
-    (* Drive some traffic so the registry has something to show. *)
     for i = 1 to n do
       let key = Printf.sprintf "metrics-%04d" i in
       Kv_app.local_op app (Kv_proto.Put (key, "value-" ^ key)) (fun _ -> ());
@@ -338,6 +275,19 @@ let metrics seed n json =
       Kv_app.local_op app (Kv_proto.Get key) (fun _ -> ());
       System.run_until_idle system
     done;
+    Ok system
+
+let metrics seed n json exp =
+  let system =
+    match exp with
+    | Some exp -> Ok (Experiments.soaked_system ~exp ~seed)
+    | None -> drive_kvs seed n
+  in
+  match system with
+  | Error e ->
+    Printf.eprintf "scenario failed: %s\n" e;
+    1
+  | Ok system ->
     let m = Engine.metrics (System.engine system) in
     print_string (if json then Metrics.to_json m else Metrics.to_prometheus m);
     0
@@ -345,56 +295,32 @@ let metrics seed n json =
 let metrics_cmd =
   let doc =
     "Boot the KVS scenario, run a small workload and print the telemetry \
-     registry (Prometheus text exposition by default)."
+     registry (Prometheus text exposition by default). With $(b,--exp) \
+     print the registry of an experiment's CPU-less soak instead: t13 is \
+     the seeded chaos soak (message loss, corruption, NAND faults, a \
+     storage-device crash), t14 the open-loop \
+     warm\xe2\x86\x92pulse\xe2\x86\x92recover overload probe with its guards \
+     armed. Identical seeds produce byte-identical output; CI diffs two \
+     runs."
   in
   let n =
-    Arg.(value & opt int 25 & info [ "ops" ] ~docv:"N" ~doc:"KV put+get pairs to drive.")
+    Arg.(
+      value & opt int 25
+      & info [ "ops" ] ~docv:"N"
+          ~doc:"KV put+get pairs to drive (without $(b,--exp)).")
   in
   let json_arg =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit a JSON snapshot instead.")
   in
-  Cmd.v (Cmd.info "metrics" ~doc) Term.(const metrics $ seed_arg $ n $ json_arg)
-
-(* --- chaos ------------------------------------------------------------------------ *)
-
-let chaos seed json =
-  let system = Experiments.chaos_soak ~seed () in
-  let m = Engine.metrics (System.engine system) in
-  print_string (if json then Metrics.to_json m else Metrics.to_prometheus m);
-  0
-
-let chaos_cmd =
-  let doc =
-    "Run the T13 chaos soak (seeded fault injection: message loss, \
-     corruption, NAND faults, a storage-device crash) on the CPU-less \
-     design and print the telemetry registry. Identical seeds produce \
-     byte-identical output; CI diffs two runs."
+  let exp_arg =
+    Arg.(
+      value
+      & opt (some (enum [ ("t13", "t13"); ("t14", "t14") ])) None
+      & info [ "exp" ] ~docv:"ID"
+          ~doc:"Soak experiment whose registry to print: t13 or t14.")
   in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit a JSON snapshot instead.")
-  in
-  Cmd.v (Cmd.info "chaos" ~doc) Term.(const chaos $ seed_arg $ json_arg)
-
-(* --- overload --------------------------------------------------------------------- *)
-
-let overload seed json =
-  let system = Experiments.overload_soak ~seed () in
-  let m = Engine.metrics (System.engine system) in
-  print_string (if json then Metrics.to_json m else Metrics.to_prometheus m);
-  0
-
-let overload_cmd =
-  let doc =
-    "Run the T14 overload probe (open-loop warm\xe2\x86\x92pulse\xe2\x86\x92recover \
-     load with the overload guards armed: bounded queues, KV admission \
-     control, circuit breaker, deadline-carrying control ops) on the \
-     CPU-less design and print the telemetry registry. Identical seeds \
-     produce byte-identical output; CI diffs two runs."
-  in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit a JSON snapshot instead.")
-  in
-  Cmd.v (Cmd.info "overload" ~doc) Term.(const overload $ seed_arg $ json_arg)
+  Cmd.v (Cmd.info "metrics" ~doc)
+    Term.(const metrics $ seed_arg $ n $ json_arg $ exp_arg)
 
 (* --- fuzz ------------------------------------------------------------------------- *)
 
@@ -483,5 +409,5 @@ let () =
   exit
     (Cmd.eval'
        (Cmd.group info
-          [ topology_cmd; figure2_cmd; experiment_cmd; resume_cmd; kv_cmd;
-            metrics_cmd; chaos_cmd; overload_cmd; fuzz_cmd; sanitize_cmd ]))
+          [ topology_cmd; figure2_cmd; experiment_cmd; kv_cmd; metrics_cmd;
+            fuzz_cmd; sanitize_cmd ]))

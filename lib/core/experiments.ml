@@ -1607,13 +1607,6 @@ let t13_centralized ~seed () =
     Metrics.counter_read (Engine.metrics engine) ~actor:"faults"
       ~name:"crashes_injected" )
 
-(* CLI/CI entry point: run the CPU-less soak and hand back the system so
-   the caller can snapshot the telemetry registry (the determinism check
-   diffs two such snapshots). *)
-let chaos_soak ?(seed = 42L) () =
-  let system, _, _, _, _ = t13_decentralized ~seed () in
-  system
-
 let t13 ?(seed = 42L) () =
   let system, d_stats, d_retries, d_failovers, d_crashes =
     t13_decentralized ~seed ()
@@ -1958,12 +1951,6 @@ let t14_centralized ~seed ~guards () =
   Engine.run engine;
   (engine, central, stats)
 
-(* CLI/CI entry point: the guarded CPU-less run, handed back so the caller
-   can snapshot telemetry (the overload determinism check diffs two). *)
-let overload_soak ?(seed = 42L) () =
-  let system, _, _, _, _ = t14_decentralized ~seed ~guards:true () in
-  system
-
 let t14 ?(seed = 42L) () =
   let d_off_sys, d_off, d_off_c, d_off_churn, churn_n =
     t14_decentralized ~seed ~guards:false ()
@@ -2053,59 +2040,50 @@ let t14 ?(seed = 42L) () =
    coupled by ring links: shard i's NIC churns allocations against shard
    (i+1)'s memory controller across the quantum boundary while a local KVS
    closed loop keeps every shard's data plane busy. The cluster count is
-   FIXED; [shards] below selects only how many execution lanes (Domains)
+   FIXED; the lane count selects only how many execution lanes (Domains)
    the windows run on — which is exactly what makes digest equality across
-   lane counts a meaningful statement. *)
+   lane counts a meaningful statement. T16 runs the same ring in
+   checkpointed segments. *)
 
-let t15_shard_count = 4
-let t15_lookahead_ns = 50_000L
-let t15_kv_clients = 3
-let t15_kv_ops = 400
-let t15_think_ns = 5_000L
-let t15_remote_allocs = 120
-let t15_remote_gap_ns = 400_000L
+let ring_shards = 4
+let ring_lookahead_ns = 50_000L
 
-type t15_result = {
-  t15_events : int;  (** events executed, summed over shards *)
-  t15_elapsed : int64;  (** max shard virtual clock at drain *)
-  t15_digest : int64;  (** per-shard metrics digests, combined in shard order *)
-  t15_boundary : int;  (** cross-shard messages delivered at quantum edges *)
-  t15_windows : int;  (** rendezvous windows executed *)
-  t15_run_seconds : float;
-      (** wall time of the coupled soak phase alone (setup excluded),
-          measured with the caller-injected [clock]; [0.] without one *)
-  t15_systems : System.t array;
+type ring = {
+  ring_systems : System.t array;
+  ring_temporal : Temporal.t;
+  ring_remote_mc : int array;
+      (* the proxy id shard i addresses to reach shard (i+1)'s memctl *)
 }
 
-let t15_soak ?(shards = 1) ?(quantum = t15_lookahead_ns) ?(tie = Engine.Fifo)
-    ?(sanitize = false) ?clock ~seed () =
-  if shards < 1 then invalid_arg "t15: shards must be >= 1";
-  (* Bring-up is sequential and per-shard self-contained: each cluster
-     boots and launches its KVS before any coupling exists, so the setup
-     schedule is trivially lane-independent. *)
+(* Bring-up is sequential and per-shard self-contained: each cluster boots
+   and launches its KVS before any coupling exists, so the setup schedule
+   is trivially lane-independent. [shard_spec] adjusts one shard's spec. *)
+let build_ring ~id ?quantum ~tie ~sanitize ?(shard_spec = fun _ s -> s) ~seed
+    () =
   let systems =
-    Array.init t15_shard_count (fun i ->
+    Array.init ring_shards (fun i ->
         let spec =
-          {
-            System.default_spec with
-            System.seed = Int64.add seed (Int64.of_int (1000 * i));
-            shard = i;
-            tie;
-            sanitize;
-          }
+          shard_spec i
+            {
+              System.default_spec with
+              System.seed = Int64.add seed (Int64.of_int (1000 * i));
+              shard = i;
+              tie;
+              sanitize;
+            }
         in
         match Scenario_kvs.run ~spec ~smoke_ops:0 () with
-        | Error e -> invalid_arg (Printf.sprintf "t15: shard %d: %s" i e)
+        | Error e -> invalid_arg (Printf.sprintf "%s: shard %d: %s" id i e)
         | Ok outcome -> outcome.Scenario_kvs.system)
   in
-  let engines = Array.map System.engine systems in
-  let temporal = Temporal.create ~quantum ~lookahead:t15_lookahead_ns engines in
+  let temporal =
+    Temporal.create ?quantum ~lookahead:ring_lookahead_ns
+      (Array.map System.engine systems)
+  in
   let links = Shardlink.create temporal (Array.map System.bus systems) in
-  (* Ring links: shard i's NIC <-> shard (i+1)'s memory controller.
-     [remote_mc.(i)] is the proxy id shard i addresses to reach it. *)
   let remote_mc =
-    Array.init t15_shard_count (fun i ->
-        let next = (i + 1) mod t15_shard_count in
+    Array.init ring_shards (fun i ->
+        let next = (i + 1) mod ring_shards in
         let nic_dev = Smart_nic.device (System.nic systems.(i) 0) in
         let proxy_on_i, _ =
           Shardlink.link links
@@ -2114,12 +2092,73 @@ let t15_soak ?(shards = 1) ?(quantum = t15_lookahead_ns) ?(tie = Engine.Fifo)
         in
         proxy_on_i)
   in
-  let kv_done = Array.make t15_shard_count 0 in
+  { ring_systems = systems; ring_temporal = temporal; ring_remote_mc = remote_mc }
+
+(* Cross-shard control plane: paced alloc/free pairs of consecutive pages
+   from [va_base], from shard [i]'s NIC against the next shard's memory
+   controller. Every request and response crosses the quantum boundary;
+   timeouts cover the 2x-lookahead round trip with room for queueing. *)
+let ring_churn ring i ~count ~gap_ns ~va_base =
+  let system = ring.ring_systems.(i) in
+  let engine = System.engine system in
+  let nic_dev = Smart_nic.device (System.nic system 0) in
+  let pasid = System.fresh_pasid system in
+  let proxy = ring.ring_remote_mc.(i) in
+  let rec churn j =
+    if j < count then begin
+      let va = Int64.add va_base (Int64.of_int (j * 4096)) in
+      Device.alloc nic_dev ~memctl:proxy ~pasid ~va ~bytes:4096L
+        ~perm:Types.perm_rw ~timeout:800_000L ~retries:4 (fun _ ->
+          Device.free nic_dev ~memctl:proxy ~pasid ~va ~bytes:4096L
+            (fun _ -> ()));
+      Engine.schedule engine ~delay:gap_ns (fun () -> churn (j + 1))
+    end
+  in
+  churn 0
+
+(* Per-shard metrics digests combined in shard order, seeded with the
+   experiment id's ASCII bytes ("t15" = 0x743135). *)
+let combined_digest id engines =
+  let seed =
+    String.fold_left
+      (fun a c -> Int64.(logor (shift_left a 8) (of_int (Char.code c))))
+      0L id
+  in
+  Array.fold_left
+    (fun acc e -> Sanitizer.combine acc (Metrics.digest (Engine.metrics e)))
+    seed engines
+
+let total_events engines =
+  Array.fold_left (fun a e -> a + Engine.events_executed e) 0 engines
+
+let max_clock engines =
+  Array.fold_left (fun a e -> max a (Engine.now e)) 0L engines
+
+let t15_kv_clients = 3
+let t15_kv_ops = 400
+let t15_think_ns = 5_000L
+let t15_remote_allocs = 120
+
+type t15_result = {
+  t15_events : int;  (** events executed, summed over shards *)
+  t15_elapsed : int64;  (** max shard virtual clock at drain *)
+  t15_digest : int64;  (** per-shard metrics digests, combined in shard order *)
+  t15_boundary : int;  (** cross-shard messages delivered at quantum edges *)
+  t15_windows : int;  (** rendezvous windows executed *)
+  t15_systems : System.t array;
+}
+
+let t15_soak ?(shards = 1) ?(quantum = ring_lookahead_ns) ?(tie = Engine.Fifo)
+    ?(sanitize = false) ~seed () =
+  if shards < 1 then invalid_arg "t15: shards must be >= 1";
+  let ring = build_ring ~id:"t15" ~quantum ~tie ~sanitize ~seed () in
+  let systems = ring.ring_systems in
+  let engines = Array.map System.engine systems in
+  let kv_done = Array.make ring_shards 0 in
   Array.iteri
     (fun i system ->
-      let engine = engines.(i) in
       (* Local data plane: closed-loop KVS clients per shard. *)
-      let lat = experiment_hist engine "kv_shard" in
+      let lat = experiment_hist engines.(i) "kv_shard" in
       let app_addr = Smart_nic.endpoint_address (System.nic system 0) in
       for c = 0 to t15_kv_clients - 1 do
         kv_closed_loop_client system ~app_addr ~ops:t15_kv_ops
@@ -2131,38 +2170,13 @@ let t15_soak ?(shards = 1) ?(quantum = t15_lookahead_ns) ?(tie = Engine.Fifo)
           ~lat
           ~on_done:(fun () -> kv_done.(i) <- kv_done.(i) + 1)
       done;
-      (* Cross-shard control plane: paced alloc/free pairs against the next
-         shard's memory controller. Every request and response crosses the
-         quantum boundary; timeouts cover the 2x-lookahead round trip with
-         room for queueing. *)
-      let nic_dev = Smart_nic.device (System.nic system 0) in
-      let pasid = System.fresh_pasid system in
-      let proxy = remote_mc.(i) in
-      let rec churn j =
-        if j < t15_remote_allocs then begin
-          let va = Int64.add 0x9000_0000L (Int64.of_int (j * 4096)) in
-          Device.alloc nic_dev ~memctl:proxy ~pasid ~va ~bytes:4096L
-            ~perm:Types.perm_rw ~timeout:800_000L ~retries:4 (fun _ ->
-              Device.free nic_dev ~memctl:proxy ~pasid ~va ~bytes:4096L
-                (fun _ -> ()));
-          Engine.schedule engine ~delay:t15_remote_gap_ns (fun () ->
-              churn (j + 1))
-        end
-      in
-      churn 0)
+      ring_churn ring i ~count:t15_remote_allocs ~gap_ns:400_000L
+        ~va_base:0x9000_0000L)
     systems;
-  (* Wall time of the coupled phase only: the per-shard bring-up above is
-     sequential by design in every configuration, so including it would
-     dilute the quantity the bench compares across lane counts. The clock
-     is injected by the caller (the bench) — simulation code itself never
-     reads host time. *)
-  let tick = match clock with None -> fun () -> 0. | Some f -> f in
-  let t_start = tick () in
   let pool = Parallel.Pool.create ~lanes:shards in
   Fun.protect
     ~finally:(fun () -> Parallel.Pool.shutdown pool)
-    (fun () -> Temporal.run ~pool temporal);
-  let run_seconds = tick () -. t_start in
+    (fun () -> Temporal.run ~pool ring.ring_temporal);
   Array.iteri
     (fun i n ->
       if n <> t15_kv_clients then
@@ -2170,23 +2184,16 @@ let t15_soak ?(shards = 1) ?(quantum = t15_lookahead_ns) ?(tie = Engine.Fifo)
           (Printf.sprintf "t15: shard %d: %d/%d kv clients converged" i n
              t15_kv_clients))
     kv_done;
-  let digest =
-    Array.fold_left
-      (fun acc e -> Sanitizer.combine acc (Metrics.digest (Engine.metrics e)))
-      0x743135L (* "t15" *) engines
-  in
   {
-    t15_events =
-      Array.fold_left (fun a e -> a + Engine.events_executed e) 0 engines;
-    t15_elapsed = Array.fold_left (fun a e -> max a (Engine.now e)) 0L engines;
-    t15_digest = digest;
-    t15_boundary = Temporal.boundary_events temporal;
-    t15_windows = Temporal.windows_run temporal;
-    t15_run_seconds = run_seconds;
+    t15_events = total_events engines;
+    t15_elapsed = max_clock engines;
+    t15_digest = combined_digest "t15" engines;
+    t15_boundary = Temporal.boundary_events ring.ring_temporal;
+    t15_windows = Temporal.windows_run ring.ring_temporal;
     t15_systems = systems;
   }
 
-let t15 ?(shards = 1) ?(quantum = t15_lookahead_ns) ?(seed = 42L) () =
+let t15 ?(shards = 1) ?(quantum = ring_lookahead_ns) ?(seed = 42L) () =
   let r = t15_soak ~shards ~quantum ~seed () in
   (* Deliberately lane-count-free output: CI diffs the rendered table
      between --shards 1 and --shards 4 runs, so every cell must be a pure
@@ -2204,7 +2211,7 @@ let t15 ?(shards = 1) ?(quantum = t15_lookahead_ns) ?(seed = 42L) () =
     rows =
       [
         [
-          string_of_int t15_shard_count;
+          string_of_int ring_shards;
           string_of_int r.t15_events;
           ns64 r.t15_elapsed;
           string_of_int r.t15_boundary;
@@ -2217,34 +2224,252 @@ let t15 ?(shards = 1) ?(quantum = t15_lookahead_ns) ?(seed = 42L) () =
         Printf.sprintf
           "quantum=%Ldns lookahead=%Ldns; ring of %d clusters, %d kv \
            clients x %d ops + %d cross-shard alloc/free pairs per shard"
-          quantum t15_lookahead_ns t15_shard_count t15_kv_clients t15_kv_ops
+          quantum ring_lookahead_ns ring_shards t15_kv_clients t15_kv_ops
           t15_remote_allocs;
       ];
   }
 
+(* --- Segmented soaks: checkpoint, kill, resume ----------------------------- *)
+
+(* T16 and T17 run their workload as a sequence of SEGMENTS, each drained
+   to quiescence (every shard static-only, aligned at a quantum edge),
+   with a whole-machine checkpoint at segment boundaries. The soak can be
+   killed after any checkpointed boundary and resumed in a fresh process:
+   the resumed run rebuilds the identical topology, overlays the snapshot,
+   and finishes the remaining segments. The claim is bit-identical
+   observability — final metrics digest, event counts and virtual clocks
+   equal between the uninterrupted run and the killed-and-resumed run,
+   including when the kill lands mid-checkpoint and leaves a torn primary
+   on disk. One runner owns that loop; a soak supplies its topology and
+   segment bodies. *)
+
+let soak_kv_clients = 2
+let soak_think_ns = 5_000L
+
+(* A built soak: the deterministic rebuild the snapshot contract requires
+   (a resumed process runs exactly it, then overlays the saved state). *)
+type soak_rig = {
+  rig_systems : System.t array;
+      (* shard order; each shard's NIC 0 serves that shard's kv clients *)
+  rig_target : Checkpoint.target;
+  rig_install : int -> unit;  (* segment body, after the kv clients *)
+  rig_check : int -> unit;  (* segment postconditions, after convergence *)
+  rig_extras : unit -> (string * string) list;
+      (* soak-specific observables at the end of the run *)
+}
+
+type soak = {
+  soak_id : string;
+  soak_segments : int;
+  soak_last_checkpoint : int;  (* checkpoints stop after this boundary *)
+  soak_kill_boundary : int;  (* where the table's kill leg dies *)
+  soak_kv_ops : int;
+  soak_key_stride : int;
+  soak_key_space : int;
+  soak_build : seed:int64 -> tie:Engine.tie_break -> sanitize:bool -> soak_rig;
+}
+
+type soak_result = {
+  soak_name : string;
+  soak_digest : int64;
+  soak_events : int;
+  soak_elapsed : int64;
+  soak_segments_run : int;
+  soak_restored : Snapshot.generation option;
+  soak_extras : (string * string) list;
+  soak_systems : System.t array;
+}
+
+let kill_boundary soak = soak.soak_kill_boundary
+
+let run_soak ?(lanes = 1) ?(tie = Engine.Fifo) ?(sanitize = false)
+    ?snapshot_path ?(checkpoint_every = 1) ?kill_at ~seed soak =
+  let fail fmt =
+    Printf.ksprintf (fun s -> invalid_arg (soak.soak_id ^ ": " ^ s)) fmt
+  in
+  if lanes < 1 then fail "lanes must be >= 1";
+  if checkpoint_every < 1 then fail "checkpoint_every must be >= 1";
+  (* A kill is real only at a boundary that writes a checkpoint: anywhere
+     else there would be no torn file behind it. *)
+  (match (kill_at, snapshot_path) with
+  | None, _ -> ()
+  | Some _, None -> fail "a kill needs a snapshot path"
+  | Some b, Some _ ->
+    if b < 1 || b > soak.soak_last_checkpoint || b mod checkpoint_every <> 0
+    then
+      fail
+        "no checkpoint is written at boundary %d (multiples of %d up to %d)" b
+        checkpoint_every soak.soak_last_checkpoint);
+  let rig = soak.soak_build ~seed ~tie ~sanitize in
+  let engines = Array.map System.engine rig.rig_systems in
+  (* Segment progress rides the snapshot like any other state: a resumed
+     process learns where to continue from the file, not from flags. *)
+  let progress = ref 0 in
+  Engine.register_snapshot engines.(0) ~name:(soak.soak_id ^ "-progress")
+    ~save:(fun () ->
+      let w = Snapshot.W.create () in
+      Snapshot.W.varint w !progress;
+      Snapshot.W.contents w)
+    ~restore:(fun data ->
+      progress := Snapshot.R.varint (Snapshot.R.of_string data));
+  let tag = Printf.sprintf "%s:%Ld" soak.soak_id seed in
+  (* Resume is decided by the input: a snapshot on disk (either
+     generation) is continued, and one that cannot be restored fails the
+     run rather than being silently replaced by a fresh start. *)
+  let restored =
+    match snapshot_path with
+    | Some path
+      when Sys.file_exists path
+           || Sys.file_exists (Snapshot.previous_generation path) -> (
+      match Checkpoint.restore ~path ~tag rig.rig_target with
+      | Ok gen -> Some gen
+      | Error e -> fail "resume: %s" e)
+    | _ -> None
+  in
+  (match kill_at with
+  | Some b when b <= !progress ->
+    fail "boundary %d is already behind the restored run (at %d)" b !progress
+  | _ -> ());
+  let kv_done = Array.make (Array.length engines) 0 in
+  let install seg =
+    Array.iteri
+      (fun i system ->
+        let lat = experiment_hist engines.(i) ("kv_" ^ soak.soak_id) in
+        let app_addr = Smart_nic.endpoint_address (System.nic system 0) in
+        for c = 0 to soak_kv_clients - 1 do
+          kv_closed_loop_client system ~app_addr ~ops:soak.soak_kv_ops
+            ~think_ns:soak_think_ns
+            ~make_op:(fun j ->
+              let key =
+                Printf.sprintf "key-%d-%03d" seg
+                  ((j + (c * soak.soak_key_stride)) mod soak.soak_key_space)
+              in
+              if (j + seg) mod 3 = 0 then
+                Kv_proto.Put (key, Printf.sprintf "v-%d-%d-%d" seg c j)
+              else Kv_proto.Get key)
+            ~lat
+            ~on_done:(fun () -> kv_done.(i) <- kv_done.(i) + 1)
+        done)
+      rig.rig_systems;
+    rig.rig_install seg
+  in
+  let segments_run = ref 0 in
+  let stopping = ref false in
+  (* A single-engine soak has no shard windows to spread over lanes. *)
+  let lanes = match rig.rig_target with Checkpoint.Sharded _ -> lanes | _ -> 1 in
+  let pool = Parallel.Pool.create ~lanes in
+  Fun.protect
+    ~finally:(fun () -> Parallel.Pool.shutdown pool)
+    (fun () ->
+      while !progress < soak.soak_segments && not !stopping do
+        let seg = !progress in
+        let before = Array.copy kv_done in
+        install seg;
+        (match rig.rig_target with
+        | Checkpoint.Sharded temporal ->
+          Temporal.run_until_quiescent ~pool temporal
+        | Checkpoint.Single _ -> System.run_until_idle rig.rig_systems.(0));
+        Array.iteri
+          (fun i n ->
+            if n - before.(i) <> soak_kv_clients then
+              fail "shard %d segment %d: %d/%d kv clients converged" i seg
+                (n - before.(i))
+                soak_kv_clients)
+          kv_done;
+        rig.rig_check seg;
+        progress := seg + 1;
+        incr segments_run;
+        let boundary = seg + 1 in
+        let killed = kill_at = Some boundary in
+        (match snapshot_path with
+        | Some path
+          when boundary mod checkpoint_every = 0
+               && boundary <= soak.soak_last_checkpoint ->
+          if killed then
+            Checkpoint.save ~torn_keep_bytes:96 ~path ~tag rig.rig_target
+          else Checkpoint.save ~path ~tag rig.rig_target
+        | _ -> ());
+        stopping := killed
+      done);
+  {
+    soak_name = soak.soak_id;
+    soak_digest = combined_digest soak.soak_id engines;
+    soak_events = total_events engines;
+    soak_elapsed = max_clock engines;
+    soak_segments_run = !segments_run;
+    soak_restored = restored;
+    soak_extras = rig.rig_extras ();
+    soak_systems = rig.rig_systems;
+  }
+
+let final_line r =
+  String.concat " "
+    (Printf.sprintf "%s final: digest=0x%016Lx events=%d elapsed_ns=%Ld"
+       r.soak_name r.soak_digest r.soak_events r.soak_elapsed
+    :: List.map (fun (k, v) -> k ^ "=" ^ v) r.soak_extras)
+
+(* The full kill–resume cycle in one table: an uninterrupted run, a run
+   killed mid-checkpoint at the soak's kill boundary (leaving a torn
+   primary), and a resumed run that must fall back to the previous
+   generation and still finish bit-identical. [cells] renders the
+   soak-specific columns of one leg. *)
+let soak_table ?(lanes = 1) ~seed soak ~title ~claim ~columns ~cells ~notes =
+  let path = Filename.temp_file ("lastcpu-" ^ soak.soak_id) ".snap" in
+  let cleanup () =
+    List.iter
+      (fun p -> try Sys.remove p with Sys_error _ -> ())
+      [ path; Snapshot.previous_generation path ]
+  in
+  (* The runner resumes from any file at the path, so start from none. *)
+  cleanup ();
+  Fun.protect ~finally:cleanup (fun () ->
+      let full = run_soak ~lanes ~seed soak in
+      let killed =
+        run_soak ~lanes ~seed ~snapshot_path:path
+          ~kill_at:soak.soak_kill_boundary soak
+      in
+      let resumed = run_soak ~lanes ~seed ~snapshot_path:path soak in
+      let identical =
+        resumed.soak_restored = Some Snapshot.Previous
+        && resumed.soak_digest = full.soak_digest
+        && resumed.soak_events = full.soak_events
+        && resumed.soak_elapsed = full.soak_elapsed
+      in
+      let row name r ~final =
+        (name :: string_of_int r.soak_segments_run :: cells ~final r)
+        @ [ (if final then Printf.sprintf "0x%016Lx" r.soak_digest else "-") ]
+      in
+      {
+        id = soak.soak_id;
+        title;
+        claim;
+        columns = ("run" :: "segments" :: columns) @ [ "digest" ];
+        rows =
+          [
+            row "uninterrupted" full ~final:true;
+            row
+              (Printf.sprintf "killed at boundary %d (torn)"
+                 soak.soak_kill_boundary)
+              killed ~final:false;
+            row
+              (match resumed.soak_restored with
+              | Some Snapshot.Previous -> "resumed (previous generation)"
+              | Some Snapshot.Primary -> "resumed (primary)"
+              | None -> "resumed (no snapshot!)")
+              resumed ~final:true;
+            ("verdict" :: List.map (fun _ -> "") ("segments" :: columns))
+            @ [ (if identical then "bit-identical" else "DIVERGED") ];
+          ];
+        notes = notes full;
+      })
+
 (* --- T16: crash-survivable simulation (kill-resume soak) --------------------- *)
 
-(* The t15 ring again — four full Systems coupled at quantum edges — but
-   run as a sequence of SEGMENTS with a whole-machine checkpoint written
-   at every segment boundary (a quiescent point: every shard drained to
-   static-only, aligned at a quantum edge). The soak can then be killed
-   after any boundary and resumed in a fresh process: the resumed run
-   rebuilds the identical topology, overlays the snapshot, and finishes
-   the remaining segments. The claim is bit-identical observability —
-   final metrics digest, event counts and virtual clocks equal between
-   the uninterrupted run and the killed-and-resumed run, including when
-   the kill lands mid-checkpoint and leaves a torn primary on disk. *)
+(* The t15 ring again — four full Systems coupled at quantum edges — run
+   in five checkpointed segments. *)
 
-let t16_shard_count = 4
-let t16_lookahead_ns = 50_000L
-let t16_segments = 5
-let t16_kv_clients = 2
-let t16_kv_ops = 80
-let t16_think_ns = 5_000L
 let t16_remote_allocs = 40
-let t16_remote_gap_ns = 300_000L
 let t16_pings = 12
-let t16_ping_gap_ns = 150_000L
 
 (* Shard 0 carries a second SSD — deliberately NOT the KVS provider (the
    scenario provisions /kv on ssd0 only, pinning discovery there) — that
@@ -2259,290 +2484,93 @@ let t16_ping_gap_ns = 150_000L
 let t16_crash =
   { Faults.device = "ssd1"; at_ns = 5_000_000L; down_ns = 135_000_000L }
 
-let t16_tag seed = Printf.sprintf "t16:%Ld" seed
-
-type t16_result = {
-  t16_digest : int64;  (** per-shard metrics digests, combined in shard order *)
-  t16_events : int;  (** events executed, summed over shards *)
-  t16_elapsed : int64;  (** max shard virtual clock at drain *)
-  t16_segments_run : int;  (** segments executed by THIS process *)
-  t16_restored : Snapshot.generation option;
-      (** [Some g] when this run resumed from a snapshot; [g] says whether
-          the primary file or the previous-generation fallback restored *)
-  t16_systems : System.t array;
-}
-
-let t16_soak ?(lanes = 1) ?(tie = Engine.Fifo) ?(sanitize = false)
-    ?snapshot_path ?(checkpoint_every = 1) ?(resume = false) ?stop_after
-    ?(torn_final = false) ~seed () =
-  if lanes < 1 then invalid_arg "t16: lanes must be >= 1";
-  if checkpoint_every < 1 then invalid_arg "t16: checkpoint_every must be >= 1";
-  (* Deterministic rebuild: this block is the "identical builder" the
-     snapshot contract requires — a resumed process runs exactly it, then
-     overlays the saved state. *)
-  let systems =
-    Array.init t16_shard_count (fun i ->
-        let spec =
+let t16_build ~seed ~tie ~sanitize =
+  let ring =
+    build_ring ~id:"t16" ~tie ~sanitize ~seed
+      ~shard_spec:(fun i spec ->
+        if i > 0 then spec
+        else
           {
-            System.default_spec with
-            System.seed = Int64.add seed (Int64.of_int (1000 * i));
-            shard = i;
-            tie;
-            sanitize;
-            ssd_count = (if i = 0 then 2 else 1);
-            fault_plan =
-              (if i = 0 then
-                 { Faults.zero with Faults.crashes = [ t16_crash ] }
-               else Faults.zero);
-          }
-        in
-        match Scenario_kvs.run ~spec ~smoke_ops:0 () with
-        | Error e -> invalid_arg (Printf.sprintf "t16: shard %d: %s" i e)
-        | Ok outcome -> outcome.Scenario_kvs.system)
+            spec with
+            System.ssd_count = 2;
+            fault_plan = { Faults.zero with Faults.crashes = [ t16_crash ] };
+          })
+      ()
   in
-  let engines = Array.map System.engine systems in
-  let temporal = Temporal.create ~lookahead:t16_lookahead_ns engines in
-  let links = Shardlink.create temporal (Array.map System.bus systems) in
-  let remote_mc =
-    Array.init t16_shard_count (fun i ->
-        let next = (i + 1) mod t16_shard_count in
-        let nic_dev = Smart_nic.device (System.nic systems.(i) 0) in
-        let proxy_on_i, _ =
-          Shardlink.link links
-            ~a:(i, Device.id nic_dev)
-            ~b:(next, Memctl.id (System.memctl systems.(next)))
-        in
-        proxy_on_i)
-  in
+  let shard0 = ring.ring_systems.(0) in
+  let nic0 = Smart_nic.device (System.nic shard0 0) in
   (* Breaker on the shard that pings the crashing SSD: its Open /
      Half_open phase at each boundary is exactly the device-state-machine
      payload the checkpoint must carry. *)
-  Device.enable_circuit_breaker
-    (Smart_nic.device (System.nic systems.(0) 0))
-    ~threshold:3 ~cooldown_ns:1_000_000L;
-  (* Segment progress rides the snapshot like any other state: a resumed
-     process learns where to continue from the file, not from flags. *)
-  let progress = ref 0 in
-  Engine.register_snapshot engines.(0) ~name:"t16-progress"
-    ~save:(fun () ->
-      let w = Snapshot.W.create () in
-      Snapshot.W.varint w !progress;
-      Snapshot.W.contents w)
-    ~restore:(fun data ->
-      progress := Snapshot.R.varint (Snapshot.R.of_string data));
-  let target = Checkpoint.Sharded temporal in
-  let tag = t16_tag seed in
-  let restored = ref None in
-  if resume then begin
-    match snapshot_path with
-    | None -> invalid_arg "t16: resume requires a snapshot path"
-    | Some path -> (
-      match Checkpoint.restore ~path ~tag target with
-      | Ok gen -> restored := Some gen
-      | Error e -> invalid_arg ("t16: resume: " ^ e))
-  end;
-  let kv_done = Array.make t16_shard_count 0 in
-  let install_segment seg =
-    Array.iteri
-      (fun i system ->
-        let engine = engines.(i) in
-        let lat = experiment_hist engine "kv_t16" in
-        let app_addr = Smart_nic.endpoint_address (System.nic system 0) in
-        for c = 0 to t16_kv_clients - 1 do
-          kv_closed_loop_client system ~app_addr ~ops:t16_kv_ops
-            ~think_ns:t16_think_ns
-            ~make_op:(fun j ->
-              let key =
-                Printf.sprintf "key-%d-%03d" seg ((j + (c * 13)) mod 48)
-              in
-              if (j + seg) mod 3 = 0 then
-                Kv_proto.Put (key, Printf.sprintf "v-%d-%d-%d" seg c j)
-              else Kv_proto.Get key)
-            ~lat
-            ~on_done:(fun () -> kv_done.(i) <- kv_done.(i) + 1)
-        done;
-        (* Cross-shard alloc/free churn over the ring, as in t15 — every
-           request and response crosses the quantum boundary. *)
-        let nic_dev = Smart_nic.device (System.nic system 0) in
-        let pasid = System.fresh_pasid system in
-        let proxy = remote_mc.(i) in
-        let rec churn j =
-          if j < t16_remote_allocs then begin
-            let va =
-              Int64.add 0xA000_0000L
-                (Int64.of_int (((seg * t16_remote_allocs) + j) * 4096))
-            in
-            Device.alloc nic_dev ~memctl:proxy ~pasid ~va ~bytes:4096L
-              ~perm:Types.perm_rw ~timeout:800_000L ~retries:4 (fun _ ->
-                Device.free nic_dev ~memctl:proxy ~pasid ~va ~bytes:4096L
-                  (fun _ -> ()));
-            Engine.schedule engine ~delay:t16_remote_gap_ns (fun () ->
-                churn (j + 1))
-          end
-        in
-        churn 0;
-        if i = 0 then begin
-          (* Pings against the crash-windowed SSD: image loads, which a
-             live SSD answers with "load-ok". While it is down they time
-             out and trip the NIC's per-peer breaker. *)
-          let target_ssd = Smart_ssd.id (System.ssd system 1) in
-          let rec ping j =
-            if j < t16_pings then
-              Device.request nic_dev ~timeout:200_000L ~retries:1
-                ~dst:(Types.Device target_ssd)
-                (Message.Load_image
-                   { image = Printf.sprintf "probe-%d-%02d" seg j; bytes = 512L })
-                (fun _ ->
-                  Engine.schedule engine ~delay:t16_ping_gap_ns (fun () ->
-                      ping (j + 1)))
-          in
-          ping 0
-        end)
-      systems
-  in
-  let segments_run = ref 0 in
-  let stopping = ref false in
-  let pool = Parallel.Pool.create ~lanes in
-  Fun.protect
-    ~finally:(fun () -> Parallel.Pool.shutdown pool)
-    (fun () ->
-      while !progress < t16_segments && not !stopping do
-        let seg = !progress in
-        let before = Array.copy kv_done in
-        install_segment seg;
-        Temporal.run_until_quiescent ~pool temporal;
-        Array.iteri
-          (fun i n ->
-            if n - before.(i) <> t16_kv_clients then
-              invalid_arg
-                (Printf.sprintf
-                   "t16: shard %d segment %d: %d/%d kv clients converged" i seg
-                   (n - before.(i))
-                   t16_kv_clients))
-          kv_done;
-        progress := seg + 1;
-        incr segments_run;
-        let boundary = seg + 1 in
-        (match snapshot_path with
-        | Some path when boundary mod checkpoint_every = 0 ->
-          let torn =
-            torn_final
-            && (match stop_after with Some s -> s = boundary | None -> false)
-          in
-          if torn then Checkpoint.save ~torn_keep_bytes:96 ~path ~tag target
-          else Checkpoint.save ~path ~tag target
-        | _ -> ());
-        match stop_after with
-        | Some s when s = boundary -> stopping := true
-        | _ -> ()
-      done);
-  let digest =
-    Array.fold_left
-      (fun acc e -> Sanitizer.combine acc (Metrics.digest (Engine.metrics e)))
-      0x743136L (* "t16" *) engines
+  Device.enable_circuit_breaker nic0 ~threshold:3 ~cooldown_ns:1_000_000L;
+  let install seg =
+    for i = 0 to ring_shards - 1 do
+      ring_churn ring i ~count:t16_remote_allocs ~gap_ns:300_000L
+        ~va_base:
+          (Int64.add 0xA000_0000L
+             (Int64.of_int (seg * t16_remote_allocs * 4096)))
+    done;
+    (* Pings against the crash-windowed SSD: image loads, which a live SSD
+       answers with "load-ok". While it is down they time out and trip
+       the NIC's per-peer breaker. *)
+    let engine = System.engine shard0 in
+    let target_ssd = Smart_ssd.id (System.ssd shard0 1) in
+    let rec ping j =
+      if j < t16_pings then
+        Device.request nic0 ~timeout:200_000L ~retries:1
+          ~dst:(Types.Device target_ssd)
+          (Message.Load_image
+             { image = Printf.sprintf "probe-%d-%02d" seg j; bytes = 512L })
+          (fun _ ->
+            Engine.schedule engine ~delay:150_000L (fun () -> ping (j + 1)))
+    in
+    ping 0
   in
   {
-    t16_digest = digest;
-    t16_events =
-      Array.fold_left (fun a e -> a + Engine.events_executed e) 0 engines;
-    t16_elapsed = Array.fold_left (fun a e -> max a (Engine.now e)) 0L engines;
-    t16_segments_run = !segments_run;
-    t16_restored = !restored;
-    t16_systems = systems;
+    rig_systems = ring.ring_systems;
+    rig_target = Checkpoint.Sharded ring.ring_temporal;
+    rig_install = install;
+    rig_check = ignore;
+    rig_extras = (fun () -> []);
   }
 
-let t16_kill_boundary = 3
+let t16_soak =
+  {
+    soak_id = "t16";
+    soak_segments = 5;
+    soak_last_checkpoint = 5;
+    soak_kill_boundary = 3;
+    soak_kv_ops = 80;
+    soak_key_stride = 13;
+    soak_key_space = 48;
+    soak_build = t16_build;
+  }
 
 let t16 ?(lanes = 1) ?(seed = 42L) () =
-  let path = Filename.temp_file "lastcpu-t16" ".snap" in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun p -> try Sys.remove p with Sys_error _ -> ())
-        [ path; Snapshot.previous_generation path ])
-    (fun () ->
-      let full = t16_soak ~lanes ~seed () in
-      (* Kill leg: checkpoint every boundary, die "mid-checkpoint" at
-         boundary 3 — the file written there is torn, exactly the on-disk
-         state of a process killed between write and rename. *)
-      let killed =
-        t16_soak ~lanes ~seed ~snapshot_path:path ~stop_after:t16_kill_boundary
-          ~torn_final:true ()
-      in
-      (* Resume leg: fresh topology; the torn primary must be rejected and
-         the previous generation (boundary 2) restored, re-running one
-         segment deterministically before the remaining two. *)
-      let resumed = t16_soak ~lanes ~seed ~snapshot_path:path ~resume:true () in
-      let fellback =
-        match resumed.t16_restored with
-        | Some Snapshot.Previous -> true
-        | Some Snapshot.Primary | None -> false
-      in
-      let identical =
-        resumed.t16_digest = full.t16_digest
-        && resumed.t16_events = full.t16_events
-        && resumed.t16_elapsed = full.t16_elapsed
-      in
-      (* Lane-count-free output: CI diffs the rendered table between
-         --shards 1 and --shards 4 runs of the whole kill/resume cycle. *)
-      {
-        id = "t16";
-        title = "crash-survivable simulation: kill-resume soak over snapshots";
-        claim =
-          "a run checkpointed at quiescent segment boundaries can be \
-           killed — even mid-checkpoint, leaving a torn file — and \
-           resumed from disk into a freshly rebuilt topology with \
-           bit-identical observable state";
-        columns = [ "run"; "segments"; "events"; "elapsed (ns)"; "digest" ];
-        rows =
-          [
-            [
-              "uninterrupted";
-              string_of_int full.t16_segments_run;
-              string_of_int full.t16_events;
-              ns64 full.t16_elapsed;
-              Printf.sprintf "0x%016Lx" full.t16_digest;
-            ];
-            [
-              "killed at boundary 3 (torn)";
-              string_of_int killed.t16_segments_run;
-              "-";
-              "-";
-              "-";
-            ];
-            [
-              (match resumed.t16_restored with
-              | Some Snapshot.Previous -> "resumed (previous generation)"
-              | Some Snapshot.Primary -> "resumed (primary)"
-              | None -> "resumed (no snapshot!)");
-              string_of_int resumed.t16_segments_run;
-              string_of_int resumed.t16_events;
-              ns64 resumed.t16_elapsed;
-              Printf.sprintf "0x%016Lx" resumed.t16_digest;
-            ];
-            [
-              "verdict";
-              "";
-              "";
-              "";
-              (if identical && fellback then "bit-identical"
-               else "DIVERGED");
-            ];
-          ];
-        notes =
-          [
-            Printf.sprintf
-              "%d segments, checkpoint per boundary; ring of %d clusters, %d \
-               kv clients x %d ops + %d cross-shard alloc/free pairs per \
-               shard per segment; ssd1 crash window [%Ldns, %Ldns] spans two \
-               checkpoints"
-              t16_segments t16_shard_count t16_kv_clients t16_kv_ops
-              t16_remote_allocs t16_crash.Faults.at_ns
-              (Int64.add t16_crash.Faults.at_ns t16_crash.Faults.down_ns);
-            "torn primary at the kill boundary forces restore from the \
-             previous generation: one segment is re-run deterministically";
-          ];
-      })
+  (* Lane-count-free output: CI diffs the rendered table between
+     --shards 1 and --shards 4 runs of the whole kill/resume cycle. *)
+  soak_table ~lanes ~seed t16_soak
+    ~title:"crash-survivable simulation: kill-resume soak over snapshots"
+    ~claim:
+      "a run checkpointed at quiescent segment boundaries can be killed — \
+       even mid-checkpoint, leaving a torn file — and resumed from disk \
+       into a freshly rebuilt topology with bit-identical observable state"
+    ~columns:[ "events"; "elapsed (ns)" ]
+    ~cells:(fun ~final r ->
+      if final then [ string_of_int r.soak_events; ns64 r.soak_elapsed ]
+      else [ "-"; "-" ])
+    ~notes:(fun _ ->
+      [
+        Printf.sprintf
+          "%d segments, checkpoint per boundary; ring of %d clusters, %d kv \
+           clients x %d ops + %d cross-shard alloc/free pairs per shard per \
+           segment; ssd1 crash window [%Ldns, %Ldns] spans two checkpoints"
+          t16_soak.soak_segments ring_shards soak_kv_clients
+          t16_soak.soak_kv_ops t16_remote_allocs t16_crash.Faults.at_ns
+          (Int64.add t16_crash.Faults.at_ns t16_crash.Faults.down_ns);
+        "torn primary at the kill boundary forces restore from the previous \
+         generation: one segment is re-run deterministically";
+      ])
 
 (* --- T17: rogue-device containment soak --------------------------------------- *)
 
@@ -2557,48 +2585,19 @@ let t16 ?(lanes = 1) ?(seed = 42L) () =
    deterministic and — like T16 — survives a kill–resume from a
    quiescent-boundary checkpoint with a bit-identical digest. *)
 
-let t17_segments = 6
-let t17_kv_clients = 2
-let t17_kv_ops = 60
-let t17_think_ns = 5_000L
 let t17_rogue_va = 0x6000_0000L
 let t17_rogue_bytes = 8192L
-let t17_tag seed = Printf.sprintf "t17:%Ld" seed
 
-(* Checkpoints stop after this boundary: segment 2 crashes the KV provider
-   and [Kv_app.save_state] deliberately refuses to checkpoint a failed-over
-   app. The kill lands exactly at the last checkpointable boundary, torn,
-   so the resume must fall back one generation and re-run the entire rogue
-   barrage deterministically. *)
-let t17_kill_boundary = 2
-
-type t17_result = {
-  t17_digest : int64;
-  t17_events : int;
-  t17_elapsed : int64;
-  t17_segments_run : int;
-  t17_restored : Snapshot.generation option;
-  t17_quarantines : int;
-  t17_revocations : int;
-  t17_stale : int;  (** pre-revocation tokens NACKed on the epoch check *)
-  t17_fenced : int;  (** frames dropped at the quarantine fence *)
-  t17_malformed : int;
-  t17_failovers : int;
-  t17_rogue_trust : string;
-  t17_system : System.t;
-}
-
-let t17_soak ?snapshot_path ?(checkpoint_every = 1) ?(resume = false)
-    ?stop_after ?(torn_final = false) ~seed () =
-  if checkpoint_every < 1 then invalid_arg "t17: checkpoint_every must be >= 1";
-  (* Deterministic rebuild (the snapshot contract's "identical builder"):
-     topology, KV launch and the rogue's one legitimate allocation —
+let t17_build ~seed ~tie ~sanitize =
+  (* Topology, KV launch and the rogue's one legitimate allocation —
      including the capability token it will later replay — are all
      pre-checkpoint state, recomputed identically by a resuming process. *)
   let spec =
     {
       System.default_spec with
       System.seed;
+      tie;
+      sanitize;
       nic_count = 2;
       ssd_count = 2;
       quarantine = Some Sysbus.default_quarantine;
@@ -2689,27 +2688,9 @@ let t17_soak ?snapshot_path ?(checkpoint_every = 1) ?(resume = false)
            auth = rogue_token;
          })
   in
-  let kv_done = ref 0 in
-  let install_kv seg =
-    let lat = experiment_hist engine "kv_t17" in
-    let app_addr = Smart_nic.endpoint_address (System.nic system 0) in
-    for c = 0 to t17_kv_clients - 1 do
-      kv_closed_loop_client system ~app_addr ~ops:t17_kv_ops
-        ~think_ns:t17_think_ns
-        ~make_op:(fun j ->
-          let key = Printf.sprintf "key-%d-%03d" seg ((j + (c * 17)) mod 40) in
-          if (j + seg) mod 3 = 0 then
-            Kv_proto.Put (key, Printf.sprintf "v-%d-%d-%d" seg c j)
-          else Kv_proto.Get key)
-        ~lat
-        ~on_done:(fun () -> incr kv_done)
-    done
-  in
   let at delay f = Engine.schedule engine ~delay f in
   let require cond what = if not cond then invalid_arg ("t17: " ^ what) in
-  let install_segment seg =
-    install_kv seg;
-    match seg with
+  let install = function
     | 1 ->
       (* The barrage. Each escalation exercises a distinct scoring channel:
          a malformed frame (+2), a DMA fault (+2, Suspect at 4), a forged
@@ -2817,37 +2798,7 @@ let t17_soak ?snapshot_path ?(checkpoint_every = 1) ?(resume = false)
           raw (replay_directive ~corr:9102))
     | _ -> ()
   in
-  let progress = ref 0 in
-  Engine.register_snapshot engine ~name:"t17-progress"
-    ~save:(fun () ->
-      let w = Snapshot.W.create () in
-      Snapshot.W.varint w !progress;
-      Snapshot.W.contents w)
-    ~restore:(fun data ->
-      progress := Snapshot.R.varint (Snapshot.R.of_string data));
-  let target = Checkpoint.Single engine in
-  let tag = t17_tag seed in
-  let restored = ref None in
-  if resume then begin
-    match snapshot_path with
-    | None -> invalid_arg "t17: resume requires a snapshot path"
-    | Some path -> (
-      match Checkpoint.restore ~path ~tag target with
-      | Ok gen -> restored := Some gen
-      | Error e -> invalid_arg ("t17: resume: " ^ e))
-  end;
-  let segments_run = ref 0 in
-  let stopping = ref false in
-  while !progress < t17_segments && not !stopping do
-    let seg = !progress in
-    let before = !kv_done in
-    install_segment seg;
-    System.run_until_idle system;
-    require
-      (!kv_done - before = t17_kv_clients)
-      (Printf.sprintf "segment %d: %d/%d kv clients converged" seg
-         (!kv_done - before) t17_kv_clients);
-    (match seg with
+  let check = function
     | 1 ->
       require
         (Sysbus.trust_of bus rogue_id = Sysbus.Quarantined)
@@ -2870,137 +2821,74 @@ let t17_soak ?snapshot_path ?(checkpoint_every = 1) ?(resume = false)
       require
         (Sysbus.trust_of bus rogue_id = Sysbus.Suspect)
         "paroled rogue should be suspect, not quarantined or trusted"
-    | _ -> ());
-    progress := seg + 1;
-    incr segments_run;
-    let boundary = seg + 1 in
-    (match snapshot_path with
-    | Some path
-      when boundary mod checkpoint_every = 0 && boundary <= t17_kill_boundary
-      ->
-      let torn =
-        torn_final
-        && (match stop_after with Some s -> s = boundary | None -> false)
-      in
-      if torn then Checkpoint.save ~torn_keep_bytes:96 ~path ~tag target
-      else Checkpoint.save ~path ~tag target
-    | _ -> ());
-    match stop_after with
-    | Some s when s = boundary -> stopping := true
     | _ -> ()
-  done;
+  in
   {
-    t17_digest =
-      Sanitizer.combine 0x743137L (* "t17" *)
-        (Metrics.digest (Engine.metrics engine));
-    t17_events = Engine.events_executed engine;
-    t17_elapsed = Engine.now engine;
-    t17_segments_run = !segments_run;
-    t17_restored = !restored;
-    t17_quarantines = Sysbus.quarantines bus;
-    t17_revocations = Sysbus.revocations bus;
-    t17_stale = Sysbus.stale_tokens bus;
-    t17_fenced = Sysbus.messages_fenced bus;
-    t17_malformed = Sysbus.malformed_total bus;
-    t17_failovers = Kv_app.failovers app;
-    t17_rogue_trust = Sysbus.trust_to_string (Sysbus.trust_of bus rogue_id);
-    t17_system = system;
+    rig_systems = [| system |];
+    rig_target = Checkpoint.Single engine;
+    rig_install = install;
+    rig_check = check;
+    rig_extras =
+      (fun () ->
+        [
+          ("quarantines", string_of_int (Sysbus.quarantines bus));
+          ("stale", string_of_int (Sysbus.stale_tokens bus));
+          ("failovers", string_of_int (Kv_app.failovers app));
+          ("trust", Sysbus.trust_to_string (Sysbus.trust_of bus rogue_id));
+        ]);
+  }
+
+(* Checkpoints stop after boundary 2: segment 2 crashes the KV provider
+   and [Kv_app.save_state] deliberately refuses to checkpoint a failed-over
+   app. The kill lands exactly at the last checkpointable boundary, torn,
+   so the resume must fall back one generation and re-run the entire rogue
+   barrage deterministically. *)
+let t17_soak =
+  {
+    soak_id = "t17";
+    soak_segments = 6;
+    soak_last_checkpoint = 2;
+    soak_kill_boundary = 2;
+    soak_kv_ops = 60;
+    soak_key_stride = 17;
+    soak_key_space = 40;
+    soak_build = t17_build;
   }
 
 let t17 ?(seed = 42L) () =
-  let path = Filename.temp_file "lastcpu-t17" ".snap" in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun p -> try Sys.remove p with Sys_error _ -> ())
-        [ path; Snapshot.previous_generation path ])
-    (fun () ->
-      let full = t17_soak ~seed () in
-      (* Kill leg: die mid-checkpoint at the last checkpointable boundary —
-         the barrage segment's own boundary — leaving a torn primary. *)
-      let killed =
-        t17_soak ~seed ~snapshot_path:path ~stop_after:t17_kill_boundary
-          ~torn_final:true ()
-      in
-      (* Resume leg: torn primary rejected, previous generation restored;
-         the entire barrage re-runs deterministically. *)
-      let resumed = t17_soak ~seed ~snapshot_path:path ~resume:true () in
-      let fellback =
-        match resumed.t17_restored with
-        | Some Snapshot.Previous -> true
-        | Some Snapshot.Primary | None -> false
-      in
-      let identical =
-        resumed.t17_digest = full.t17_digest
-        && resumed.t17_events = full.t17_events
-        && resumed.t17_elapsed = full.t17_elapsed
-      in
-      let run_row name (r : t17_result) final =
-        [
-          name;
-          string_of_int r.t17_segments_run;
-          string_of_int r.t17_quarantines;
-          string_of_int r.t17_stale;
-          string_of_int r.t17_failovers;
-          r.t17_rogue_trust;
-          (if final then Printf.sprintf "0x%016Lx" r.t17_digest else "-");
-        ]
-      in
-      {
-        id = "t17";
-        title = "rogue-device containment: quarantine, revocation, failover";
-        claim =
-          "a device that turns hostile mid-run is quarantined by \
-           misbehavior scoring, its capabilities revoked by one epoch \
-           bump, and the workload it served fails over and recovers — \
-           deterministically, surviving a torn-checkpoint kill-resume \
-           bit-identically";
-        columns =
-          [ "run"; "segments"; "quarantines"; "stale"; "failovers";
-            "rogue trust"; "digest" ];
-        rows =
-          [
-            run_row "uninterrupted" full true;
-            run_row
-              (Printf.sprintf "killed at boundary %d (torn)" t17_kill_boundary)
-              killed false;
-            run_row
-              (match resumed.t17_restored with
-              | Some Snapshot.Previous -> "resumed (previous generation)"
-              | Some Snapshot.Primary -> "resumed (primary)"
-              | None -> "resumed (no snapshot!)")
-              resumed true;
-            [
-              "verdict";
-              "";
-              "";
-              "";
-              "";
-              "";
-              (if identical && fellback then "bit-identical" else "DIVERGED");
-            ];
-          ];
-        notes =
-          [
-            Printf.sprintf
-              "%d segments, %d kv clients x %d ops each; barrage evidence: \
-               dma fault + forged mac + corr replay storm + spoofed source \
-               (weights %d/%d/%d/%d, threshold %d); %d frames fenced, %d \
-               malformed rejected"
-              t17_segments t17_kv_clients t17_kv_ops
-              Sysbus.default_quarantine.Sysbus.dma_fault_weight
-              Sysbus.default_quarantine.Sysbus.bad_token_weight
-              Sysbus.default_quarantine.Sysbus.replay_weight
-              Sysbus.default_quarantine.Sysbus.spoof_weight
-              Sysbus.default_quarantine.Sysbus.quarantine_score
-              full.t17_fenced full.t17_malformed;
-            "re-admission is reset-line -> re-announce only: a bare \
-             heartbeat from the revived provider is ignored, and the \
-             paroled rogue's pre-revocation token is NACKed stale";
-            "single-engine soak: --shards cannot perturb it, and the \
-             kill-resume legs above are the determinism evidence";
-          ];
-      })
+  soak_table ~seed t17_soak
+    ~title:"rogue-device containment: quarantine, revocation, failover"
+    ~claim:
+      "a device that turns hostile mid-run is quarantined by misbehavior \
+       scoring, its capabilities revoked by one epoch bump, and the \
+       workload it served fails over and recovers — deterministically, \
+       surviving a torn-checkpoint kill-resume bit-identically"
+    ~columns:[ "quarantines"; "stale"; "failovers"; "rogue trust" ]
+    ~cells:(fun ~final:_ r -> List.map snd r.soak_extras)
+    ~notes:(fun full ->
+      let bus = System.bus full.soak_systems.(0) in
+      let q = Sysbus.default_quarantine in
+      [
+        Printf.sprintf
+          "%d segments, %d kv clients x %d ops each; barrage evidence: dma \
+           fault + forged mac + corr replay storm + spoofed source (weights \
+           %d/%d/%d/%d, threshold %d); %d frames fenced, %d malformed \
+           rejected"
+          t17_soak.soak_segments soak_kv_clients t17_soak.soak_kv_ops
+          q.Sysbus.dma_fault_weight q.Sysbus.bad_token_weight
+          q.Sysbus.replay_weight q.Sysbus.spoof_weight
+          q.Sysbus.quarantine_score
+          (Sysbus.messages_fenced bus)
+          (Sysbus.malformed_total bus);
+        "re-admission is reset-line -> re-announce only: a bare heartbeat \
+         from the revived provider is ignored, and the paroled rogue's \
+         pre-revocation token is NACKed stale";
+        "single-engine soak: --shards cannot perturb it, and the kill-resume \
+         legs above are the determinism evidence";
+      ])
+
+let soak_by_id id =
+  List.find_opt (fun s -> s.soak_id = id) [ t16_soak; t17_soak ]
 
 type sanitize_report = {
   san_exp : string;
@@ -3043,7 +2931,7 @@ let sanitize_journal ~exp ~seed ~tie =
 let sanitize_experiments = [ "t1"; "t13"; "t14"; "t15" ]
 
 (* One full run of a digest-pinned experiment, returning the soaked
-   system (the bench reads events-executed and wall time off it). *)
+   system (`lastcpu metrics --exp` prints its telemetry registry). *)
 let soaked_system ~exp ~seed =
   match exp with
   | "t1" ->

@@ -73,11 +73,6 @@ val t13 : ?seed:int64 -> unit -> table
     crash→revive window), reporting ops completed, retries, failovers and
     convergence. *)
 
-val chaos_soak : ?seed:int64 -> unit -> System.t
-(** Run the CPU-less half of {!t13} and return the soaked system; callers
-    snapshot its telemetry registry. Same seed ⇒ byte-identical snapshot
-    (the CI determinism job diffs two runs). *)
-
 val t14 : ?seed:int64 -> unit -> table
 (** Overload probe: an open-loop warm→pulse→recover load replayed on both
     designs with the overload guards off and on. Guards off, the pulse's
@@ -85,11 +80,6 @@ val t14 : ?seed:int64 -> unit -> table
     collapsed (metastable failure); guards on (bounded queues, admission
     control, E_busy backpressure, circuit breaker, EAGAIN run queues) the
     pulse is shed and recovery goodput returns to the warm baseline. *)
-
-val overload_soak : ?seed:int64 -> unit -> System.t
-(** Run the guarded CPU-less half of {!t14} and return the system; callers
-    snapshot its telemetry registry (the overload CI determinism job
-    diffs two runs). *)
 
 (** {2 T15: temporal decoupling} *)
 
@@ -101,9 +91,6 @@ type t15_result = {
           determinism contract pins: independent of lane count *)
   t15_boundary : int;  (** cross-shard messages delivered at quantum edges *)
   t15_windows : int;  (** rendezvous windows executed *)
-  t15_run_seconds : float;
-      (** wall time of the coupled soak phase alone (setup excluded),
-          measured with the caller-injected [clock]; [0.] without one *)
   t15_systems : System.t array;
 }
 
@@ -112,7 +99,6 @@ val t15_soak :
   ?quantum:int64 ->
   ?tie:Lastcpu_sim.Engine.tie_break ->
   ?sanitize:bool ->
-  ?clock:(unit -> float) ->
   seed:int64 ->
   unit ->
   t15_result
@@ -130,105 +116,96 @@ val t15 : ?shards:int -> ?quantum:int64 -> ?seed:int64 -> unit -> table
     (seed, quantum) — CI diffs the output of [--shards 1] vs [--shards 4]
     runs verbatim. *)
 
-(** {2 T16: crash-survivable simulation} *)
+(** {2 Segmented soaks: checkpoint, kill, resume (T16, T17)} *)
 
-type t16_result = {
-  t16_digest : int64;
+type soak
+(** A soak run as checkpointed segments: its topology, segment bodies,
+    post-segment checks and last checkpointable boundary. *)
+
+val soak_by_id : string -> soak option
+(** ["t16"]: the t15 ring in five segments, checkpointable at every
+    boundary; shard 0 carries an SSD whose crash window (and the NIC's
+    tripped circuit breaker) straddles two checkpoints.
+
+    ["t17"]: six segments on one engine: warm-up; the rogue NIC's barrage
+    (DMA overreach, forged MAC, a same-corr privileged replay storm, a
+    spoofed source, malformed raw frames) ending in quarantine and
+    revocation; a KV provider crash and failover; a
+    no-silent-resurrection revive (bare heartbeat ignored, explicit
+    re-announce honored); parole re-admission with a stale
+    pre-revocation token replay; and recovery. Checkpoints stop after
+    boundary 2 because [Kv_app.save_state] refuses once the app has
+    failed over. Each segment's containment postcondition is asserted. *)
+
+val kill_boundary : soak -> int
+(** Boundary where the kill leg of the soak's table dies mid-checkpoint
+    (t16: 3, t17: 2). *)
+
+type soak_result = {
+  soak_name : string;  (** the soak's experiment id *)
+  soak_digest : int64;
       (** per-shard metrics digests combined in shard order — THE value the
           crash-survivability contract pins: equal between an
           uninterrupted run and a killed-and-resumed run *)
-  t16_events : int;  (** events executed, summed over shards *)
-  t16_elapsed : int64;  (** max shard virtual clock at drain *)
-  t16_segments_run : int;  (** segments executed by THIS process *)
-  t16_restored : Lastcpu_sim.Snapshot.generation option;
+  soak_events : int;  (** events executed, summed over shards *)
+  soak_elapsed : int64;  (** max shard virtual clock at drain *)
+  soak_segments_run : int;  (** segments executed by THIS process *)
+  soak_restored : Lastcpu_sim.Snapshot.generation option;
       (** [Some g] when this run resumed from a snapshot; [g] says whether
           the primary file or the previous-generation fallback restored *)
-  t16_systems : System.t array;
+  soak_extras : (string * string) list;
+      (** soak-specific observables at drain, in {!final_line} order
+          (t17: quarantines, stale, failovers, rogue trust) *)
+  soak_systems : System.t array;
 }
 
-val t16_soak :
+val run_soak :
   ?lanes:int ->
   ?tie:Lastcpu_sim.Engine.tie_break ->
   ?sanitize:bool ->
   ?snapshot_path:string ->
   ?checkpoint_every:int ->
-  ?resume:bool ->
-  ?stop_after:int ->
-  ?torn_final:bool ->
+  ?kill_at:int ->
   seed:int64 ->
-  unit ->
-  t16_result
-(** The t15 ring run as checkpointed segments. With [snapshot_path] a
-    whole-machine snapshot ({!Checkpoint.save}) is written after every
-    [checkpoint_every]-th segment boundary (a quiescent quantum edge).
-    [stop_after:b] abandons the run right after boundary [b]'s checkpoint
-    — the in-process stand-in for a kill; with [torn_final] that last
-    checkpoint is written deliberately truncated (a kill mid-checkpoint).
-    [resume] rebuilds nothing differently: the identical topology is
-    built, then {!Checkpoint.restore} overlays the snapshot (falling back
-    to the previous generation when the primary is torn) and the loop
-    continues from the restored segment counter. [lanes] is the
-    execution-lane count only; results are lane-independent. *)
+  soak ->
+  soak_result
+(** Run a soak segment by segment: install the segment's kv clients and
+    body, drain to quiescence, check that every kv client converged and
+    the soak's postconditions hold. With [snapshot_path] a whole-machine
+    snapshot ({!Checkpoint.save}) is written after every
+    [checkpoint_every]-th boundary up to the soak's last checkpointable
+    one. When [snapshot_path] or its previous generation exists the run
+    resumes from it: the identical topology is built, {!Checkpoint.restore}
+    overlays the snapshot (falling back to the previous generation when
+    the primary is torn) and the loop continues from the restored segment
+    counter. [kill_at:b] abandons the run right after boundary [b]'s
+    checkpoint, written deliberately truncated — the in-process stand-in
+    for a kill mid-checkpoint. [lanes] is the execution-lane count of a
+    sharded soak only; results are lane-independent.
+    @raise Invalid_argument when a snapshot exists but cannot be restored
+    (unreadable, wrong tag or topology), when [kill_at] is given without
+    a snapshot path, names a boundary where no checkpoint is written, or
+    one the restored run has already passed — all before any segment
+    runs — and when a segment fails to converge or a postcondition does
+    not hold. *)
 
-val t16_kill_boundary : int
-(** Segment boundary after which the kill leg of {!t16} dies (3). *)
+val final_line : soak_result -> string
+(** ["<id> final: digest=… events=… elapsed_ns=…"] followed by the soak's
+    extras as [key=value]: everything observable, nothing about
+    provenance — an uninterrupted run and a killed-and-resumed one print
+    the same line. *)
 
 val t16 : ?lanes:int -> ?seed:int64 -> unit -> table
 (** The full kill-resume cycle in one table: an uninterrupted run, a run
-    killed mid-checkpoint at boundary {!t16_kill_boundary} (leaving a torn
-    primary), and a resumed run that must fall back to the previous
-    generation and still finish bit-identical. Every cell is a pure
-    function of the seed — CI diffs [--shards 1] vs [--shards 4] output
-    verbatim. *)
-
-(** {2 T17: rogue-device containment soak} *)
-
-type t17_result = {
-  t17_digest : int64;
-      (** metrics digest under the t17 seed — pinned equal between the
-          uninterrupted run and the killed-and-resumed run *)
-  t17_events : int;
-  t17_elapsed : int64;
-  t17_segments_run : int;  (** segments executed by THIS process *)
-  t17_restored : Lastcpu_sim.Snapshot.generation option;
-  t17_quarantines : int;
-  t17_revocations : int;
-  t17_stale : int;  (** pre-revocation tokens NACKed on the epoch check *)
-  t17_fenced : int;  (** frames dropped at the quarantine fence *)
-  t17_malformed : int;
-  t17_failovers : int;  (** KV provider failovers (PR-2 path) *)
-  t17_rogue_trust : string;  (** rogue's trust state at drain *)
-  t17_system : System.t;
-}
-
-val t17_soak :
-  ?snapshot_path:string ->
-  ?checkpoint_every:int ->
-  ?resume:bool ->
-  ?stop_after:int ->
-  ?torn_final:bool ->
-  seed:int64 ->
-  unit ->
-  t17_result
-(** Six checkpointed segments on one engine: warm-up; the rogue NIC's
-    barrage (DMA overreach, forged MAC, a same-corr privileged replay
-    storm, a spoofed source, malformed raw frames) ending in quarantine
-    and revocation; a KV provider crash and failover; a no-silent-resurrection
-    revive (bare heartbeat ignored, explicit re-announce honored); parole
-    re-admission with a stale pre-revocation token replay; and recovery.
-    Checkpointing stops after boundary {!t17_kill_boundary} because
-    [Kv_app.save_state] refuses once the app has failed over. The soak
-    asserts each segment's containment postcondition and raises
-    [Invalid_argument] on any violation. *)
-
-val t17_kill_boundary : int
-(** Boundary where the kill leg of {!t17} dies mid-checkpoint (2) — the
-    resume leg must fall back a generation and re-run the barrage. *)
+    killed mid-checkpoint at boundary 3 (leaving a torn primary), and a
+    resumed run that must fall back to the previous generation and still
+    finish bit-identical. Every cell is a pure function of the seed — CI
+    diffs [--shards 1] vs [--shards 4] output verbatim. *)
 
 val t17 : ?seed:int64 -> unit -> table
-(** Uninterrupted, killed-at-torn-checkpoint, and resumed runs of
-    {!t17_soak} in one table; the verdict row pins bit-identical digests,
-    events and virtual clocks. *)
+(** Uninterrupted, killed-at-torn-checkpoint (boundary 2), and resumed
+    runs of the t17 soak in one table; the verdict row pins bit-identical
+    digests, events and virtual clocks. *)
 
 (** {2 Same-tick ordering sanitizer} *)
 
@@ -246,8 +223,9 @@ val sanitize_experiments : string list
 
 val soaked_system : exp:string -> seed:int64 -> System.t
 (** Build and run experiment [exp] ("t1", "t13" or "t14") to completion
-    with the given seed, returning the soaked system. The bench reads
-    events-executed and the metrics registry off it. *)
+    with the given seed, returning the soaked system (for t13 and t14 the
+    CPU-less half; t14 with its overload guards armed). Same seed ⇒
+    byte-identical telemetry registry. *)
 
 val metrics_digest : exp:string -> seed:int64 -> int64
 (** Build and run experiment [exp] ("t1", "t13", "t14" or "t15") with the
@@ -286,6 +264,6 @@ val all : unit -> table list
 
 val by_id : ?shards:int -> string -> (unit -> table) option
 (** Look up an experiment by id ("f1", "f2", "t1", "t1-notokens",
-    "t2".."t15"). [shards] (default 1) sets the execution-lane count for
-    "t15" (ignored by every other experiment — their tables are
+    "t2".."t17"). [shards] (default 1) sets the execution-lane count for
+    "t15" and "t16" (ignored by every other experiment — their tables are
     single-engine runs). *)

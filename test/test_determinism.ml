@@ -24,6 +24,12 @@ module Message = Lastcpu_proto.Message
 module Token = Lastcpu_proto.Token
 module Sysbus = Lastcpu_bus.Sysbus
 module Experiments = Lastcpu_core.Experiments
+module Metrics = Lastcpu_sim.Metrics
+module System = Lastcpu_core.System
+module Scenario = Lastcpu_core.Scenario_kvs
+module Netsim = Lastcpu_net.Netsim
+module Smart_nic = Lastcpu_devices.Smart_nic
+module Kv_proto = Lastcpu_kv.Kv_proto
 
 (* --- golden digests and journals --------------------------------------- *)
 
@@ -69,6 +75,54 @@ let test_seed_sensitivity () =
     "different seeds give different digests" true
     (Experiments.metrics_digest ~exp:"t13" ~seed:42L
     <> Experiments.metrics_digest ~exp:"t13" ~seed:43L)
+
+(* The data plane end to end: one closed-loop remote client pushes 150
+   Put/Get pairs of 4 KiB values through the NIC fast path into the
+   SSD-backed store (WAL append -> virtqueue -> NAND) and reads them back.
+   Every reply must be the expected one, and the registry digest is pinned:
+   the zero-copy fast paths may change host time, never modeled
+   behaviour. *)
+let kv_put_get_golden = 0x6979563eaf5f2982L
+
+let test_kv_put_get_digest () =
+  let value = String.make 4096 'z' in
+  let ops = 150 * 2 in
+  match Scenario.run ~smoke_ops:0 () with
+  | Error e -> Alcotest.fail e
+  | Ok outcome ->
+    let system = outcome.Scenario.system in
+    let app_addr = Smart_nic.endpoint_address (System.nic system 0) in
+    let ep = Netsim.endpoint (System.net system) ~name:"bench-client" in
+    let sent = ref 0 and completed = ref 0 in
+    let send_next () =
+      if !sent < ops then begin
+        let corr = !sent in
+        incr sent;
+        let key = Printf.sprintf "bench-%04d" (corr / 2) in
+        let op =
+          if corr land 1 = 0 then Kv_proto.Put (key, value)
+          else Kv_proto.Get key
+        in
+        Netsim.send ep ~dst:app_addr
+          (Kv_proto.encode_request { Kv_proto.corr; op })
+      end
+    in
+    Netsim.set_receiver ep (fun ~src:_ frame ->
+        match Kv_proto.decode_response frame with
+        | Error e -> Alcotest.fail e
+        | Ok { Kv_proto.corr; reply } ->
+          (match reply with
+          | Kv_proto.Done when corr land 1 = 0 -> ()
+          | Kv_proto.Value (Some v) when corr land 1 = 1 && v = value -> ()
+          | _ -> Alcotest.failf "op %d: unexpected reply" corr);
+          incr completed;
+          send_next ());
+    send_next ();
+    System.run_until_quiescent system;
+    Alcotest.(check int) "every op answered" ops !completed;
+    Alcotest.(check int64)
+      "kv.put-get metrics digest" kv_put_get_golden
+      (Metrics.digest (Engine.metrics (System.engine system)))
 
 (* --- streaming-hash contract ------------------------------------------- *)
 
@@ -147,7 +201,10 @@ let () =
                 (test_journal exp len jhash);
             ])
           goldens
-        @ [ Alcotest.test_case "seed sensitivity" `Slow test_seed_sensitivity ]
+        @ [
+            Alcotest.test_case "seed sensitivity" `Slow test_seed_sensitivity;
+            Alcotest.test_case "kv.put-get digest" `Slow test_kv_put_get_digest;
+          ]
       );
       ( "streaming-hash",
         [

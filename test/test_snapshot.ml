@@ -2,7 +2,7 @@
    CRC rejection, generation fallback), the engine's checkpoint-hook
    registry, the WAL watermark interplay (no double-apply after a
    restore), breaker and crash-window resume semantics, the Checkpoint
-   orchestrator's mismatch handling, and the T16 kill-resume contract:
+   orchestrator's mismatch handling, and the T16/T17 kill-resume contract:
    a killed-and-resumed run is bit-identical to an uninterrupted one. *)
 
 module Engine = Lastcpu_sim.Engine
@@ -471,41 +471,51 @@ let test_full_system_roundtrip () =
         (Engine.events_executed (System.engine sys_a))
         (Engine.events_executed (System.engine sys_b)))
 
-(* --- T16: kill-resume soak ----------------------------------------------- *)
+(* --- T16/T17: kill-resume soaks through the shared segment runner ------ *)
 
-let journal_of (r : Experiments.t16_result) =
+let journal_of (r : Experiments.soak_result) =
   List.concat_map
     (fun system -> Engine.sanitizer_journal (System.engine system))
-    (Array.to_list r.Experiments.t16_systems)
+    (Array.to_list r.Experiments.soak_systems)
 
-let test_t16_kill_resume_bit_identical () =
+(* One test, one input per soak: [witness] checks that the soak actually
+   exercised what its checkpoints must carry. The runner resumes exactly
+   when the snapshot path has a file behind it, so the same call shape
+   drives the kill leg (no file yet: a fresh start) and the resume leg
+   (torn primary: fall back to the previous generation). *)
+let test_kill_resume_bit_identical soak witness () =
   let path = temp_snapshot () in
   Fun.protect
     ~finally:(fun () -> cleanup path)
     (fun () ->
       let seed = 42L in
-      let full = Experiments.t16_soak ~sanitize:true ~seed () in
+      let kill_at = Experiments.kill_boundary soak in
+      let full = Experiments.run_soak ~sanitize:true ~seed soak in
       let killed =
-        Experiments.t16_soak ~sanitize:true ~seed ~snapshot_path:path
-          ~stop_after:Experiments.t16_kill_boundary ~torn_final:true ()
+        Experiments.run_soak ~sanitize:true ~seed ~snapshot_path:path ~kill_at
+          soak
       in
-      Alcotest.(check int) "killed after boundary 3"
-        Experiments.t16_kill_boundary killed.Experiments.t16_segments_run;
+      Alcotest.(check bool) "missing file starts fresh" true
+        (killed.Experiments.soak_restored = None);
+      Alcotest.(check int) "killed after the kill boundary" kill_at
+        killed.Experiments.soak_segments_run;
       let resumed =
-        Experiments.t16_soak ~sanitize:true ~seed ~snapshot_path:path
-          ~resume:true ()
+        Experiments.run_soak ~sanitize:true ~seed ~snapshot_path:path soak
       in
-      (match resumed.Experiments.t16_restored with
+      (match resumed.Experiments.soak_restored with
       | Some Snapshot.Previous -> ()
       | Some Snapshot.Primary ->
         Alcotest.fail "torn primary restored instead of rejected"
       | None -> Alcotest.fail "resume leg did not restore");
       Alcotest.(check int64) "digest bit-identical"
-        full.Experiments.t16_digest resumed.Experiments.t16_digest;
-      Alcotest.(check int) "event count identical" full.Experiments.t16_events
-        resumed.Experiments.t16_events;
+        full.Experiments.soak_digest resumed.Experiments.soak_digest;
+      Alcotest.(check int) "event count identical" full.Experiments.soak_events
+        resumed.Experiments.soak_events;
       Alcotest.(check int64) "virtual clock identical"
-        full.Experiments.t16_elapsed resumed.Experiments.t16_elapsed;
+        full.Experiments.soak_elapsed resumed.Experiments.soak_elapsed;
+      Alcotest.(check string) "final line identical"
+        (Experiments.final_line full)
+        (Experiments.final_line resumed);
       (* The sanitizer journal — every multi-event tick's observable-state
          hash, restored from the snapshot and extended by the re-run —
          must be bit-identical too, not just the end state. *)
@@ -514,12 +524,96 @@ let test_t16_kill_resume_bit_identical () =
         (List.length (journal_of resumed));
       Alcotest.(check bool) "journal bit-identical" true
         (journal_of full = journal_of resumed);
-      (* The breaker actually exercised its crash window along the way. *)
-      let nic_dev system =
-        Lastcpu_devices.Smart_nic.device (System.nic system 0)
-      in
-      Alcotest.(check bool) "breaker opened during the soak" true
-        (Device.breaker_opens (nic_dev resumed.Experiments.t16_systems.(0)) > 0))
+      witness resumed)
+
+(* T16: the breaker actually exercised its crash window along the way. *)
+let t16_witness (r : Experiments.soak_result) =
+  let nic_dev =
+    Lastcpu_devices.Smart_nic.device
+      (System.nic r.Experiments.soak_systems.(0) 0)
+  in
+  Alcotest.(check bool) "breaker opened during the soak" true
+    (Device.breaker_opens nic_dev > 0)
+
+(* T17: the re-run barrage quarantined the rogue, and parole left it
+   suspect after its stale-token replays. *)
+let t17_witness (r : Experiments.soak_result) =
+  Alcotest.(check (list (pair string string)))
+    "containment outcome"
+    [
+      ("quarantines", "1"); ("stale", "2"); ("failovers", "1");
+      ("trust", "suspect");
+    ]
+    r.Experiments.soak_extras
+
+let soak id =
+  match Experiments.soak_by_id id with
+  | Some s -> s
+  | None -> Alcotest.failf "no soak %s" id
+
+(* A kill is only reported where a torn checkpoint can exist. Boundaries
+   that write no checkpoint — past the last segment, off the cadence,
+   zero, past t17's last checkpointable boundary — are rejected before
+   any segment runs, so nothing reaches the disk. *)
+let test_kill_at_needs_a_checkpoint () =
+  let path = temp_snapshot () in
+  Fun.protect
+    ~finally:(fun () -> cleanup path)
+    (fun () ->
+      List.iter
+        (fun (id, checkpoint_every, kill_at) ->
+          let what =
+            Printf.sprintf "%s every %d kill at %d" id checkpoint_every kill_at
+          in
+          (match
+             Experiments.run_soak ~seed:42L ~snapshot_path:path
+               ~checkpoint_every ~kill_at (soak id)
+           with
+          | _ -> Alcotest.failf "%s: accepted" what
+          | exception Invalid_argument _ -> ());
+          Alcotest.(check bool) (what ^ ": nothing written") false
+            (Sys.file_exists path))
+        [ ("t16", 1, 9); ("t16", 2, 3); ("t16", 1, 0); ("t17", 1, 3) ];
+      match Experiments.run_soak ~seed:42L ~kill_at:1 (soak "t17") with
+      | _ -> Alcotest.fail "kill without a snapshot path accepted"
+      | exception Invalid_argument _ -> ())
+
+(* A snapshot that is there but cannot be restored fails the run loudly;
+   it is never replaced by a fresh start. A kill at a boundary the
+   restored run has already passed is rejected too. *)
+let test_resume_fails_loudly () =
+  let path = temp_snapshot () in
+  Fun.protect
+    ~finally:(fun () -> cleanup path)
+    (fun () ->
+      let oc = open_out_bin path in
+      output_string oc "not a snapshot";
+      close_out oc;
+      (match
+         Experiments.run_soak ~seed:42L ~snapshot_path:path (soak "t17")
+       with
+      | _ -> Alcotest.fail "unreadable snapshot accepted"
+      | exception Invalid_argument _ -> ());
+      let ic = open_in_bin path in
+      let kept = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      Alcotest.(check string) "file left as it was" "not a snapshot" kept;
+      cleanup path;
+      ignore
+        (Experiments.run_soak ~seed:42L ~snapshot_path:path ~kill_at:2
+           (soak "t17"));
+      (match
+         Experiments.run_soak ~seed:43L ~snapshot_path:path (soak "t17")
+       with
+      | _ -> Alcotest.fail "snapshot of another seed accepted"
+      | exception Invalid_argument _ -> ());
+      (* Torn boundary-2 primary: the restore falls back to boundary 1. *)
+      match
+        Experiments.run_soak ~seed:42L ~snapshot_path:path ~kill_at:1
+          (soak "t17")
+      with
+      | _ -> Alcotest.fail "kill behind the restored boundary accepted"
+      | exception Invalid_argument _ -> ())
 
 let () =
   Alcotest.run "snapshot"
@@ -562,6 +656,18 @@ let () =
       ( "t16",
         [
           Alcotest.test_case "kill-resume bit-identical" `Slow
-            test_t16_kill_resume_bit_identical;
+            (test_kill_resume_bit_identical (soak "t16") t16_witness);
+        ] );
+      ( "t17",
+        [
+          Alcotest.test_case "kill-resume bit-identical" `Slow
+            (test_kill_resume_bit_identical (soak "t17") t17_witness);
+        ] );
+      ( "soak runner",
+        [
+          Alcotest.test_case "kill needs a checkpoint" `Quick
+            test_kill_at_needs_a_checkpoint;
+          Alcotest.test_case "unrestorable snapshot fails" `Quick
+            test_resume_fails_loudly;
         ] );
     ]

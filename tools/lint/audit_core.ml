@@ -453,7 +453,7 @@ let rec cmt_files_under dir =
         else acc)
       [] entries
 
-(* --- in-process typechecking (fixtures, bench) -------------------------------- *)
+(* --- in-process typechecking (fixtures) ----------------------------------------- *)
 
 (* Typecheck a standalone source string against the compiler's stdlib and
    inventory it. Fixtures stub repo modules locally (e.g. a local [module

@@ -2,7 +2,7 @@
 
    Usage:
      lint_main --rules lint.rules --suppressions lint.suppressions \
-               [--root DIR] lib bin bench
+               [--root DIR] lib bin
 
    Exit status is 0 only when every finding is suppressed with a
    justification and every suppression matched a finding; an unsuppressed
