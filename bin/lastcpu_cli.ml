@@ -6,8 +6,8 @@
      lastcpu experiment <id>      run experiment tables (f1..t17)
      lastcpu kv <n>               run n KV smoke operations end to end
      lastcpu metrics [--json]     run a booted KVS workload, dump telemetry
-                 [--exp t13|t14]  ... or an experiment's soak (T13 chaos,
-                                  guarded T14 overload)
+                 [--exp ID]       ... or a pinned experiment's run (T1, T13
+                                  chaos, guarded T14 overload)
      lastcpu fuzz                 run the protocol fuzzer, print its summary
      lastcpu sanitize             replay experiments under perturbed ties *)
 
@@ -30,6 +30,18 @@ let seed_arg =
   Arg.(value & opt int64 42L & info [ "seed" ] ~docv:"SEED" ~doc)
 
 let spec_of_seed seed = { System.default_spec with System.seed }
+
+(* A count of at least one, rejected while the command line is parsed. *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
+(* An experiment id drawn from one of the registry's id lists. *)
+let exp_id ids = Arg.enum (List.map (fun id -> (id, id)) ids)
 
 (* --- topology ------------------------------------------------------------- *)
 
@@ -91,10 +103,6 @@ let figure2_cmd =
 
 (* --- experiment ------------------------------------------------------------- *)
 
-let known_ids =
-  [ "f1"; "f2"; "t1"; "t1-notokens"; "t2"; "t3"; "t4"; "t5"; "t6"; "t7"; "t8";
-    "t9"; "t10"; "t11"; "t12"; "t13"; "t14"; "t15"; "t16"; "t17" ]
-
 let generation_name = function
   | Snapshot.Primary -> "primary"
   | Snapshot.Previous -> "previous"
@@ -106,7 +114,7 @@ let generation_name = function
 let experiment list jobs shards seed snapshot_path checkpoint_every kill_at ids
     =
   if list then begin
-    List.iter print_endline known_ids;
+    List.iter print_endline Experiments.ids;
     0
   end
   else
@@ -147,16 +155,17 @@ let experiment list jobs shards seed snapshot_path checkpoint_every kill_at ids
             print_endline (Experiments.final_line r);
             0))
       | _ ->
-        Printf.eprintf
-          "--snapshot-path drives exactly one checkpointed soak, t16 or t17 \
-           (got: %s)\n"
+        Printf.eprintf "--snapshot-path drives exactly one soak (got: %s)\n"
           (String.concat " " ids);
         1)
     | None, None ->
       let render id () =
-        match Experiments.by_id ~shards id with
+        match Experiments.by_id id with
         | None -> Error id
-        | Some f -> Ok (Format.asprintf "%a" Experiments.print_table (f ()))
+        | Some table ->
+          Ok
+            (Format.asprintf "%a" Experiments.print_table
+               (table ~lanes:shards ~seed))
       in
       let rc = ref 0 in
       List.iter
@@ -175,7 +184,7 @@ let jobs_arg =
      independent deterministic simulation; output order and bytes match a \
      sequential run."
   in
-  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+  Arg.(value & opt pos_int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 let shards_arg =
   let doc =
@@ -184,7 +193,7 @@ let shards_arg =
      identical for any value — that invariance is the temporal-decoupling \
      determinism contract CI checks. Other experiments ignore this."
   in
-  Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
+  Arg.(value & opt pos_int 1 & info [ "shards" ] ~docv:"N" ~doc)
 
 let snapshot_path_arg =
   let doc =
@@ -202,7 +211,7 @@ let snapshot_path_arg =
 
 let checkpoint_every_arg =
   let doc = "Checkpoint every $(docv)-th segment boundary (default 1)." in
-  Arg.(value & opt int 1 & info [ "checkpoint-every" ] ~docv:"N" ~doc)
+  Arg.(value & opt pos_int 1 & info [ "checkpoint-every" ] ~docv:"N" ~doc)
 
 let chaos_kill_arg =
   let doc =
@@ -215,7 +224,10 @@ let chaos_kill_arg =
   Arg.(value & opt (some int) None & info [ "chaos-kill-at" ] ~docv:"B" ~doc)
 
 let experiment_cmd =
-  let doc = "Run experiment tables (see EXPERIMENTS.md for the index)." in
+  let doc =
+    "Run experiment tables (see EXPERIMENTS.md for the index). $(b,--seed) \
+     reaches t1 and t13-t17; the other tables are fixed workloads."
+  in
   let ids =
     Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc:"Experiment ids.")
   in
@@ -296,9 +308,9 @@ let metrics_cmd =
   let doc =
     "Boot the KVS scenario, run a small workload and print the telemetry \
      registry (Prometheus text exposition by default). With $(b,--exp) \
-     print the registry of an experiment's CPU-less soak instead: t13 is \
-     the seeded chaos soak (message loss, corruption, NAND faults, a \
-     storage-device crash), t14 the open-loop \
+     print the registry of an experiment's CPU-less run instead: t1 the \
+     control-plane latency loop, t13 the seeded chaos soak (message loss, \
+     corruption, NAND faults, a storage-device crash), t14 the open-loop \
      warm\xe2\x86\x92pulse\xe2\x86\x92recover overload probe with its guards \
      armed. Identical seeds produce byte-identical output; CI diffs two \
      runs."
@@ -315,9 +327,12 @@ let metrics_cmd =
   let exp_arg =
     Arg.(
       value
-      & opt (some (enum [ ("t13", "t13"); ("t14", "t14") ])) None
+      & opt (some (exp_id Experiments.metrics_experiments)) None
       & info [ "exp" ] ~docv:"ID"
-          ~doc:"Soak experiment whose registry to print: t13 or t14.")
+          ~doc:
+            ("Experiment whose registry to print: "
+            ^ doc_alts Experiments.metrics_experiments
+            ^ "."))
   in
   Cmd.v (Cmd.info "metrics" ~doc)
     Term.(const metrics $ seed_arg $ n $ json_arg $ exp_arg)
@@ -386,7 +401,7 @@ let sanitize_cmd =
      seed-salted), comparing observable-state digests after every \
      multi-event tick. A divergence means some event pair's same-timestamp \
      order leaks into observable state — an ordering race the determinism \
-     contract forbids. For t15 (multi-shard, where tie-break drift \
+     contract forbids. For a sharded soak (t15, where tie-break drift \
      legitimately dissolves coincidental collisions of independent \
      streams) the check is instead that the final digest is tie-invariant \
      and that each perturbed tie's journal is bit-identical between 1 and \
@@ -395,11 +410,12 @@ let sanitize_cmd =
   let exps_arg =
     Arg.(
       value
-      & opt_all string []
+      & opt_all (exp_id Experiments.sanitize_experiments) []
       & info [ "exp" ] ~docv:"ID"
           ~doc:
-            "Experiment to sanitize (t1, t13, t14 or t15); repeatable. \
-             Default: all four.")
+            ("Experiment to sanitize: "
+            ^ doc_alts Experiments.sanitize_experiments
+            ^ "; repeatable. Default: all of them."))
   in
   Cmd.v (Cmd.info "sanitize" ~doc) Term.(const sanitize $ seed_arg $ exps_arg)
 

@@ -151,24 +151,41 @@ let f2 () =
 
 let iters_t1 = 50
 
-let t1_decentralized ?(seed = 42L) ?(tie = Engine.Fifo) ?(sanitize = false)
+(* Run each [(name, op)] phase [iters_t1] times back to back, phases in
+   list order, timing every op into an "experiment" histogram named after
+   its phase (all created up front, in list order); [op i] is [None] when
+   iteration [i] has nothing to do. [drain] runs the engine to idle. *)
+let run_phases engine ~drain phases =
+  let timed =
+    List.map (fun (name, op) -> (name, experiment_hist engine name, op)) phases
+  in
+  let finished = ref false in
+  let rec go = function
+    | [] -> finished := true
+    | (_, lat, op) :: rest ->
+      sequentially iters_t1
+        (fun i k ->
+          match op i with None -> k () | Some run -> measure engine lat run k)
+        (fun () -> go rest)
+  in
+  go timed;
+  drain ();
+  assert !finished;
+  List.map (fun (name, lat, _) -> (name, lat)) timed
+
+let every op i = Some (op i)
+
+let t1_decentralized ?(tie = Engine.Fifo) ?(sanitize = false) ~seed
     ~enable_tokens () =
   let spec = { System.default_spec with enable_tokens; seed; tie; sanitize } in
   let system = System.build ~spec () in
   (match System.boot system with
   | Ok () -> ()
   | Error e -> invalid_arg ("t1: " ^ e));
-  let engine = System.engine system in
   let dev = Smart_nic.device (System.nic system 0) in
   let mc = Memctl.id (System.memctl system) in
   let ssd_id = Smart_ssd.id (System.ssd system 0) in
   let pasid = System.fresh_pasid system in
-  let results = Hashtbl.create 8 in
-  let record name =
-    let h = experiment_hist engine name in
-    Hashtbl.replace results name h;
-    h
-  in
   let service =
     match
       List.find_opt
@@ -178,132 +195,71 @@ let t1_decentralized ?(seed = 42L) ?(tie = Engine.Fifo) ?(sanitize = false)
     | Some s -> s
     | None -> invalid_arg "t1: ssd has no file service"
   in
-  let discover_stats = record "discover" in
-  let open_stats = record "open" in
-  let alloc_stats = record "alloc+map" in
-  let grant_stats = record "grant" in
-  let free_stats = record "free" in
   let tokens = Array.make iters_t1 None in
   let va i = Int64.add 0x5000_0000L (Int64.of_int (i * 0x10000)) in
-  let done_ = ref false in
-  sequentially iters_t1
-    (fun _ k ->
-      measure engine discover_stats
-        (fun k' ->
-          Device.discover dev ~kind:Types.File_service ~query:"" (fun _ -> k' ()))
-        k)
-    (fun () ->
-      sequentially iters_t1
-        (fun _ k ->
-          measure engine open_stats
-            (fun k' ->
+  let results =
+    run_phases (System.engine system)
+      ~drain:(fun () -> System.run_until_idle system)
+      [
+        ( "discover",
+          every (fun _ k ->
+              Device.discover dev ~kind:Types.File_service ~query:"" (fun _ ->
+                  k ())) );
+        ( "open",
+          every (fun _ k ->
               Device.open_service dev ~provider:ssd_id ~service ~pasid
-                ~params:[ ("user", "bench") ] (fun _ -> k' ()))
-            k)
-        (fun () ->
-          sequentially iters_t1
-            (fun i k ->
-              measure engine alloc_stats
-                (fun k' ->
-                  Device.alloc dev ~memctl:mc ~pasid ~va:(va i) ~bytes:16384L
-                    ~perm:Types.perm_rw (fun res ->
-                      (match res with
-                      | Ok token -> tokens.(i) <- Some token
-                      | Error _ -> ());
-                      k' ()))
-                k)
-            (fun () ->
-              sequentially iters_t1
-                (fun i k ->
-                  match tokens.(i) with
-                  | None -> k ()
-                  | Some token ->
-                    measure engine grant_stats
-                      (fun k' ->
-                        Device.grant dev ~to_device:ssd_id ~pasid ~va:(va i)
-                          ~bytes:16384L ~perm:Types.perm_rw ~auth:token
-                          (fun _ -> k' ()))
-                      k)
-                (fun () ->
-                  sequentially iters_t1
-                    (fun i k ->
-                      measure engine free_stats
-                        (fun k' ->
-                          Device.free dev ~memctl:mc ~pasid ~va:(va i)
-                            ~bytes:16384L (fun _ -> k' ()))
-                        k)
-                    (fun () -> done_ := true)))));
-  System.run_until_idle system;
-  assert !done_;
+                ~params:[ ("user", "bench") ] (fun _ -> k ())) );
+        ( "alloc+map",
+          every (fun i k ->
+              Device.alloc dev ~memctl:mc ~pasid ~va:(va i) ~bytes:16384L
+                ~perm:Types.perm_rw (fun res ->
+                  Result.iter (fun token -> tokens.(i) <- Some token) res;
+                  k ())) );
+        ( "grant",
+          fun i ->
+            Option.map
+              (fun token k ->
+                Device.grant dev ~to_device:ssd_id ~pasid ~va:(va i)
+                  ~bytes:16384L ~perm:Types.perm_rw ~auth:token (fun _ -> k ()))
+              tokens.(i) );
+        ( "free",
+          every (fun i k ->
+              Device.free dev ~memctl:mc ~pasid ~va:(va i) ~bytes:16384L
+                (fun _ -> k ())) );
+      ]
+  in
   (system, results)
 
-let t1_centralized () =
-  let engine = Engine.create () in
+let t1_centralized ~seed =
+  let engine = Engine.create ~seed () in
   let central = Central.create engine () in
   (match Fs.create (Central.fs central) ~user:"root" "/target" with
   | Ok () -> ()
   | Error e -> invalid_arg (Fs.error_to_string e));
-  let results = Hashtbl.create 8 in
-  let record name =
-    let h = experiment_hist engine name in
-    Hashtbl.replace results name h;
-    h
-  in
-  let discover_stats = record "discover" in
-  let open_stats = record "open" in
-  let mmap_stats = record "alloc+map" in
-  let grant_stats = record "grant" in
-  let free_stats = record "free" in
   let kern = Central.kernel central in
-  let done_ = ref false in
-  sequentially iters_t1
-    (fun _ k ->
-      measure engine discover_stats
-        (fun k' -> Central.discover central ~query:"" (fun () -> k' ()))
-        k)
-    (fun () ->
-      sequentially iters_t1
-        (fun _ k ->
-          measure engine open_stats
-            (fun k' ->
-              Central.open_file central ~path:"/target" ~user:"bench" (fun _ ->
-                  k' ()))
-            k)
-        (fun () ->
-          sequentially iters_t1
-            (fun _ k ->
-              measure engine mmap_stats
-                (fun k' -> Central.setup_shared central ~bytes:16384L (fun () -> k' ()))
-                k)
-            (fun () ->
-              sequentially iters_t1
-                (fun _ k ->
-                  measure engine grant_stats
-                    (fun k' -> Kernel.syscall kern ~name:"grant" (fun () -> k' ()))
-                    k)
-                (fun () ->
-                  sequentially iters_t1
-                    (fun _ k ->
-                      measure engine free_stats
-                        (fun k' ->
-                          Central.teardown_shared central (fun () -> k' ()))
-                        k)
-                    (fun () -> done_ := true)))));
-  Engine.run engine;
-  assert !done_;
-  results
+  run_phases engine
+    ~drain:(fun () -> Engine.run engine)
+    [
+      ("discover", every (fun _ k -> Central.discover central ~query:"" k));
+      ( "open",
+        every (fun _ k ->
+            Central.open_file central ~path:"/target" ~user:"bench" (fun _ ->
+                k ())) );
+      ("alloc+map", every (fun _ -> Central.setup_shared central ~bytes:16384L));
+      ("grant", every (fun _ k -> Kernel.syscall kern ~name:"grant" k));
+      ("free", every (fun _ -> Central.teardown_shared central));
+    ]
 
-let t1 ?(enable_tokens = true) () =
-  let _, dec = t1_decentralized ~enable_tokens () in
-  let cen = t1_centralized () in
-  let ops = [ "discover"; "open"; "alloc+map"; "grant"; "free" ] in
+let t1 ?(enable_tokens = true) ?(seed = 42L) () =
+  let _, dec = t1_decentralized ~seed ~enable_tokens () in
+  let cen = t1_centralized ~seed in
   let rows =
-    List.map
-      (fun op ->
-        let d = Stats.Summary.mean (Metrics.summary (Hashtbl.find dec op))
-        and c = Stats.Summary.mean (Metrics.summary (Hashtbl.find cen op)) in
+    List.map2
+      (fun (op, d) (_, c) ->
+        let d = Stats.Summary.mean (Metrics.summary d)
+        and c = Stats.Summary.mean (Metrics.summary c) in
         [ op; ns d; ns c; ratio d c ])
-      ops
+      dec cen
   in
   {
     id = "t1";
@@ -871,19 +827,17 @@ let t6_one ~depth ~via_bus =
     let elapsed = Int64.to_float (Int64.sub (Engine.now engine) t0) in
     float_of_int !completed /. (elapsed *. 1e-9)
 
-let t6 ?(doorbells_via_bus = false) () =
+let t6 () =
   let depths = [ 1; 2; 4; 8; 16 ] in
   let rows =
     List.map
       (fun depth ->
         let direct = t6_one ~depth ~via_bus:false in
-        let conflated =
-          if doorbells_via_bus then t6_one ~depth ~via_bus:true else nan
-        in
+        let conflated = t6_one ~depth ~via_bus:true in
         [
           string_of_int depth;
           Printf.sprintf "%.0f" direct;
-          (if doorbells_via_bus then Printf.sprintf "%.0f" conflated else "-");
+          Printf.sprintf "%.0f" conflated;
         ])
       depths
   in
@@ -2023,18 +1977,7 @@ let t14 ?(seed = 42L) () =
       ];
   }
 
-(* --- same-tick ordering sanitizer ----------------------------------------- *)
-
-(* The determinism contract says that when several events share a virtual
-   timestamp, their relative order must not leak into observable state.
-   Check it empirically: run a workload once under the contractual FIFO
-   tie-break and once under a perturbation (LIFO flips every colliding
-   pair; a seed-salted permutation scrambles larger groups), journalling a
-   digest of observable state (metrics registry + bus frame digest) after
-   every multi-event tick. Any divergence is a same-tick ordering race,
-   reported with the labels of the events that collided. *)
-
-(* --- T15: temporal decoupling ------------------------------------------------ *)
+(* --- The shard ring (T15, T16) ------------------------------------------ *)
 
 (* Four device clusters (shards), each a full System on its own engine,
    coupled by ring links: shard i's NIC churns allocations against shard
@@ -2042,8 +1985,8 @@ let t14 ?(seed = 42L) () =
    closed loop keeps every shard's data plane busy. The cluster count is
    FIXED; the lane count selects only how many execution lanes (Domains)
    the windows run on — which is exactly what makes digest equality across
-   lane counts a meaningful statement. T16 runs the same ring in
-   checkpointed segments. *)
+   lane counts a meaningful statement. The quantum is the lookahead. T15
+   runs the ring as one segment, T16 as checkpointed segments. *)
 
 let ring_shards = 4
 let ring_lookahead_ns = 50_000L
@@ -2058,8 +2001,7 @@ type ring = {
 (* Bring-up is sequential and per-shard self-contained: each cluster boots
    and launches its KVS before any coupling exists, so the setup schedule
    is trivially lane-independent. [shard_spec] adjusts one shard's spec. *)
-let build_ring ~id ?quantum ~tie ~sanitize ?(shard_spec = fun _ s -> s) ~seed
-    () =
+let build_ring ~id ~tie ~sanitize ?(shard_spec = fun _ s -> s) ~seed () =
   let systems =
     Array.init ring_shards (fun i ->
         let spec =
@@ -2077,7 +2019,7 @@ let build_ring ~id ?quantum ~tie ~sanitize ?(shard_spec = fun _ s -> s) ~seed
         | Ok outcome -> outcome.Scenario_kvs.system)
   in
   let temporal =
-    Temporal.create ?quantum ~lookahead:ring_lookahead_ns
+    Temporal.create ~lookahead:ring_lookahead_ns
       (Array.map System.engine systems)
   in
   let links = Shardlink.create temporal (Array.map System.bus systems) in
@@ -2128,123 +2070,31 @@ let combined_digest id engines =
     (fun acc e -> Sanitizer.combine acc (Metrics.digest (Engine.metrics e)))
     seed engines
 
-let total_events engines =
-  Array.fold_left (fun a e -> a + Engine.events_executed e) 0 engines
+(* --- Soaks: segments, checkpoint, kill, resume -------------------------- *)
 
-let max_clock engines =
-  Array.fold_left (fun a e -> max a (Engine.now e)) 0L engines
+(* T15, T16 and T17 run their workload as a sequence of SEGMENTS, each
+   drained to quiescence (every shard static-only, aligned at a quantum
+   edge), with a whole-machine checkpoint at segment boundaries (T15 is one
+   segment and never checkpoints). The soak can be killed after any
+   checkpointed boundary and resumed in a fresh process: the resumed run
+   rebuilds the identical topology, overlays the snapshot, and finishes
+   the remaining segments. The claim is bit-identical observability —
+   final metrics digest, event counts and virtual clocks equal between the
+   uninterrupted run and the killed-and-resumed run, including when the
+   kill lands mid-checkpoint and leaves a torn primary on disk. One runner
+   owns that loop; a soak supplies its topology, kv load and segment
+   bodies. *)
 
-let t15_kv_clients = 3
-let t15_kv_ops = 400
-let t15_think_ns = 5_000L
-let t15_remote_allocs = 120
-
-type t15_result = {
-  t15_events : int;  (** events executed, summed over shards *)
-  t15_elapsed : int64;  (** max shard virtual clock at drain *)
-  t15_digest : int64;  (** per-shard metrics digests, combined in shard order *)
-  t15_boundary : int;  (** cross-shard messages delivered at quantum edges *)
-  t15_windows : int;  (** rendezvous windows executed *)
-  t15_systems : System.t array;
-}
-
-let t15_soak ?(shards = 1) ?(quantum = ring_lookahead_ns) ?(tie = Engine.Fifo)
-    ?(sanitize = false) ~seed () =
-  if shards < 1 then invalid_arg "t15: shards must be >= 1";
-  let ring = build_ring ~id:"t15" ~quantum ~tie ~sanitize ~seed () in
-  let systems = ring.ring_systems in
-  let engines = Array.map System.engine systems in
-  let kv_done = Array.make ring_shards 0 in
-  Array.iteri
-    (fun i system ->
-      (* Local data plane: closed-loop KVS clients per shard. *)
-      let lat = experiment_hist engines.(i) "kv_shard" in
-      let app_addr = Smart_nic.endpoint_address (System.nic system 0) in
-      for c = 0 to t15_kv_clients - 1 do
-        kv_closed_loop_client system ~app_addr ~ops:t15_kv_ops
-          ~think_ns:t15_think_ns
-          ~make_op:(fun j ->
-            let key = Printf.sprintf "key-%04d" ((j + (c * 7)) mod 64) in
-            if j mod 3 = 0 then Kv_proto.Put (key, Printf.sprintf "v-%d-%d" c j)
-            else Kv_proto.Get key)
-          ~lat
-          ~on_done:(fun () -> kv_done.(i) <- kv_done.(i) + 1)
-      done;
-      ring_churn ring i ~count:t15_remote_allocs ~gap_ns:400_000L
-        ~va_base:0x9000_0000L)
-    systems;
-  let pool = Parallel.Pool.create ~lanes:shards in
-  Fun.protect
-    ~finally:(fun () -> Parallel.Pool.shutdown pool)
-    (fun () -> Temporal.run ~pool ring.ring_temporal);
-  Array.iteri
-    (fun i n ->
-      if n <> t15_kv_clients then
-        invalid_arg
-          (Printf.sprintf "t15: shard %d: %d/%d kv clients converged" i n
-             t15_kv_clients))
-    kv_done;
-  {
-    t15_events = total_events engines;
-    t15_elapsed = max_clock engines;
-    t15_digest = combined_digest "t15" engines;
-    t15_boundary = Temporal.boundary_events ring.ring_temporal;
-    t15_windows = Temporal.windows_run ring.ring_temporal;
-    t15_systems = systems;
-  }
-
-let t15 ?(shards = 1) ?(quantum = ring_lookahead_ns) ?(seed = 42L) () =
-  let r = t15_soak ~shards ~quantum ~seed () in
-  (* Deliberately lane-count-free output: CI diffs the rendered table
-     between --shards 1 and --shards 4 runs, so every cell must be a pure
-     function of (seed, quantum). *)
-  {
-    id = "t15";
-    title = "temporal decoupling: quantum-synchronized shards in one run";
-    claim =
-      "a run partitioned into device-cluster shards with per-shard clocks \
-       and boundary-event exchange at quantum edges is observably \
-       deterministic: the digest is independent of how many domains \
-       execute the shards";
-    columns =
-      [ "clusters"; "events"; "elapsed (ns)"; "boundary msgs"; "windows"; "digest" ];
-    rows =
-      [
-        [
-          string_of_int ring_shards;
-          string_of_int r.t15_events;
-          ns64 r.t15_elapsed;
-          string_of_int r.t15_boundary;
-          string_of_int r.t15_windows;
-          Printf.sprintf "0x%016Lx" r.t15_digest;
-        ];
-      ];
-    notes =
-      [
-        Printf.sprintf
-          "quantum=%Ldns lookahead=%Ldns; ring of %d clusters, %d kv \
-           clients x %d ops + %d cross-shard alloc/free pairs per shard"
-          quantum ring_lookahead_ns ring_shards t15_kv_clients t15_kv_ops
-          t15_remote_allocs;
-      ];
-  }
-
-(* --- Segmented soaks: checkpoint, kill, resume ----------------------------- *)
-
-(* T16 and T17 run their workload as a sequence of SEGMENTS, each drained
-   to quiescence (every shard static-only, aligned at a quantum edge),
-   with a whole-machine checkpoint at segment boundaries. The soak can be
-   killed after any checkpointed boundary and resumed in a fresh process:
-   the resumed run rebuilds the identical topology, overlays the snapshot,
-   and finishes the remaining segments. The claim is bit-identical
-   observability — final metrics digest, event counts and virtual clocks
-   equal between the uninterrupted run and the killed-and-resumed run,
-   including when the kill lands mid-checkpoint and leaves a torn primary
-   on disk. One runner owns that loop; a soak supplies its topology and
-   segment bodies. *)
-
-let soak_kv_clients = 2
 let soak_think_ns = 5_000L
+
+(* The closed-loop kv clients every shard's NIC 0 serves, re-installed
+   each segment. *)
+type kv_load = {
+  kv_clients : int;  (* per shard *)
+  kv_ops : int;  (* per client per segment *)
+  kv_op : int -> int -> int -> Kv_proto.op;  (* segment -> client -> j -> op *)
+  kv_hist : string;  (* the "experiment" histogram of their latencies *)
+}
 
 (* A built soak: the deterministic rebuild the snapshot contract requires
    (a resumed process runs exactly it, then overlays the saved state). *)
@@ -2262,10 +2112,8 @@ type soak = {
   soak_id : string;
   soak_segments : int;
   soak_last_checkpoint : int;  (* checkpoints stop after this boundary *)
-  soak_kill_boundary : int;  (* where the table's kill leg dies *)
-  soak_kv_ops : int;
-  soak_key_stride : int;
-  soak_key_space : int;
+  soak_kill_boundary : int;  (* where the table's kill leg dies (0: none) *)
+  soak_kv : kv_load;
   soak_build : seed:int64 -> tie:Engine.tie_break -> sanitize:bool -> soak_rig;
 }
 
@@ -2278,6 +2126,7 @@ type soak_result = {
   soak_restored : Snapshot.generation option;
   soak_extras : (string * string) list;
   soak_systems : System.t array;
+  soak_target : Checkpoint.target;
 }
 
 let kill_boundary soak = soak.soak_kill_boundary
@@ -2289,6 +2138,8 @@ let run_soak ?(lanes = 1) ?(tie = Engine.Fifo) ?(sanitize = false)
   in
   if lanes < 1 then fail "lanes must be >= 1";
   if checkpoint_every < 1 then fail "checkpoint_every must be >= 1";
+  if snapshot_path <> None && soak.soak_last_checkpoint = 0 then
+    fail "checkpoints no boundary, so takes no snapshot path";
   (* A kill is real only at a boundary that writes a checkpoint: anywhere
      else there would be no torn file behind it. *)
   (match (kill_at, snapshot_path) with
@@ -2330,24 +2181,16 @@ let run_soak ?(lanes = 1) ?(tie = Engine.Fifo) ?(sanitize = false)
   | Some b when b <= !progress ->
     fail "boundary %d is already behind the restored run (at %d)" b !progress
   | _ -> ());
+  let kv = soak.soak_kv in
   let kv_done = Array.make (Array.length engines) 0 in
   let install seg =
     Array.iteri
       (fun i system ->
-        let lat = experiment_hist engines.(i) ("kv_" ^ soak.soak_id) in
+        let lat = experiment_hist engines.(i) kv.kv_hist in
         let app_addr = Smart_nic.endpoint_address (System.nic system 0) in
-        for c = 0 to soak_kv_clients - 1 do
-          kv_closed_loop_client system ~app_addr ~ops:soak.soak_kv_ops
-            ~think_ns:soak_think_ns
-            ~make_op:(fun j ->
-              let key =
-                Printf.sprintf "key-%d-%03d" seg
-                  ((j + (c * soak.soak_key_stride)) mod soak.soak_key_space)
-              in
-              if (j + seg) mod 3 = 0 then
-                Kv_proto.Put (key, Printf.sprintf "v-%d-%d-%d" seg c j)
-              else Kv_proto.Get key)
-            ~lat
+        for c = 0 to kv.kv_clients - 1 do
+          kv_closed_loop_client system ~app_addr ~ops:kv.kv_ops
+            ~think_ns:soak_think_ns ~make_op:(kv.kv_op seg c) ~lat
             ~on_done:(fun () -> kv_done.(i) <- kv_done.(i) + 1)
         done)
       rig.rig_systems;
@@ -2371,10 +2214,10 @@ let run_soak ?(lanes = 1) ?(tie = Engine.Fifo) ?(sanitize = false)
         | Checkpoint.Single _ -> System.run_until_idle rig.rig_systems.(0));
         Array.iteri
           (fun i n ->
-            if n - before.(i) <> soak_kv_clients then
+            if n - before.(i) <> kv.kv_clients then
               fail "shard %d segment %d: %d/%d kv clients converged" i seg
                 (n - before.(i))
-                soak_kv_clients)
+                kv.kv_clients)
           kv_done;
         rig.rig_check seg;
         progress := seg + 1;
@@ -2394,12 +2237,14 @@ let run_soak ?(lanes = 1) ?(tie = Engine.Fifo) ?(sanitize = false)
   {
     soak_name = soak.soak_id;
     soak_digest = combined_digest soak.soak_id engines;
-    soak_events = total_events engines;
-    soak_elapsed = max_clock engines;
+    soak_events =
+      Array.fold_left (fun a e -> a + Engine.events_executed e) 0 engines;
+    soak_elapsed = Array.fold_left (fun a e -> max a (Engine.now e)) 0L engines;
     soak_segments_run = !segments_run;
     soak_restored = restored;
     soak_extras = rig.rig_extras ();
     soak_systems = rig.rig_systems;
+    soak_target = rig.rig_target;
   }
 
 let final_line r =
@@ -2462,6 +2307,104 @@ let soak_table ?(lanes = 1) ~seed soak ~title ~claim ~columns ~cells ~notes =
           ];
         notes = notes full;
       })
+
+(* The kv load of the checkpointed soaks: two clients per shard on fresh
+   keys every segment, every third op (shifted by the segment) a Put. *)
+let segment_kv ~id ~ops ~stride ~space =
+  {
+    kv_clients = 2;
+    kv_ops = ops;
+    kv_op =
+      (fun seg c j ->
+        let key =
+          Printf.sprintf "key-%d-%03d" seg ((j + (c * stride)) mod space)
+        in
+        if (j + seg) mod 3 = 0 then
+          Kv_proto.Put (key, Printf.sprintf "v-%d-%d-%d" seg c j)
+        else Kv_proto.Get key);
+    kv_hist = "kv_" ^ id;
+  }
+
+(* --- T15: temporal decoupling -------------------------------------------- *)
+
+(* The ring as one segment with no checkpoint: each shard's KVS closed
+   loop runs alongside its cross-shard alloc/free churn until the whole
+   ring is quiescent. *)
+
+let t15_remote_allocs = 120
+
+let t15_soak =
+  {
+    soak_id = "t15";
+    soak_segments = 1;
+    soak_last_checkpoint = 0;
+    soak_kill_boundary = 0;
+    soak_kv =
+      {
+        kv_clients = 3;
+        kv_ops = 400;
+        kv_op =
+          (fun _ c j ->
+            let key = Printf.sprintf "key-%04d" ((j + (c * 7)) mod 64) in
+            if j mod 3 = 0 then Kv_proto.Put (key, Printf.sprintf "v-%d-%d" c j)
+            else Kv_proto.Get key);
+        kv_hist = "kv_shard";
+      };
+    soak_build =
+      (fun ~seed ~tie ~sanitize ->
+        let ring = build_ring ~id:"t15" ~tie ~sanitize ~seed () in
+        let temporal = ring.ring_temporal in
+        {
+          rig_systems = ring.ring_systems;
+          rig_target = Checkpoint.Sharded temporal;
+          rig_install =
+            (fun _ ->
+              for i = 0 to ring_shards - 1 do
+                ring_churn ring i ~count:t15_remote_allocs ~gap_ns:400_000L
+                  ~va_base:0x9000_0000L
+              done);
+          rig_check = ignore;
+          rig_extras =
+            (fun () ->
+              [
+                ("boundary", string_of_int (Temporal.boundary_events temporal));
+                ("windows", string_of_int (Temporal.windows_run temporal));
+              ]);
+        });
+  }
+
+let t15 ?(lanes = 1) ?(seed = 42L) () =
+  let r = run_soak ~lanes ~seed t15_soak in
+  let kv = t15_soak.soak_kv in
+  (* Deliberately lane-count-free output: CI diffs the rendered table
+     between --shards 1 and --shards 4 runs, so every cell must be a pure
+     function of the seed. *)
+  {
+    id = "t15";
+    title = "temporal decoupling: quantum-synchronized shards in one run";
+    claim =
+      "a run partitioned into device-cluster shards with per-shard clocks \
+       and boundary-event exchange at quantum edges is observably \
+       deterministic: the digest is independent of how many domains \
+       execute the shards";
+    columns =
+      [ "clusters"; "events"; "elapsed (ns)"; "boundary msgs"; "windows";
+        "digest" ];
+    rows =
+      [
+        (string_of_int ring_shards :: string_of_int r.soak_events
+         :: ns64 r.soak_elapsed :: List.map snd r.soak_extras)
+        @ [ Printf.sprintf "0x%016Lx" r.soak_digest ];
+      ];
+    notes =
+      [
+        Printf.sprintf
+          "quantum=%Ldns lookahead=%Ldns; ring of %d clusters, %d kv \
+           clients x %d ops + %d cross-shard alloc/free pairs per shard"
+          ring_lookahead_ns ring_lookahead_ns ring_shards kv.kv_clients
+          kv.kv_ops t15_remote_allocs;
+      ];
+  }
 
 (* --- T16: crash-survivable simulation (kill-resume soak) --------------------- *)
 
@@ -2540,9 +2483,7 @@ let t16_soak =
     soak_segments = 5;
     soak_last_checkpoint = 5;
     soak_kill_boundary = 3;
-    soak_kv_ops = 80;
-    soak_key_stride = 13;
-    soak_key_space = 48;
+    soak_kv = segment_kv ~id:"t16" ~ops:80 ~stride:13 ~space:48;
     soak_build = t16_build;
   }
 
@@ -2565,8 +2506,8 @@ let t16 ?(lanes = 1) ?(seed = 42L) () =
           "%d segments, checkpoint per boundary; ring of %d clusters, %d kv \
            clients x %d ops + %d cross-shard alloc/free pairs per shard per \
            segment; ssd1 crash window [%Ldns, %Ldns] spans two checkpoints"
-          t16_soak.soak_segments ring_shards soak_kv_clients
-          t16_soak.soak_kv_ops t16_remote_allocs t16_crash.Faults.at_ns
+          t16_soak.soak_segments ring_shards t16_soak.soak_kv.kv_clients
+          t16_soak.soak_kv.kv_ops t16_remote_allocs t16_crash.Faults.at_ns
           (Int64.add t16_crash.Faults.at_ns t16_crash.Faults.down_ns);
         "torn primary at the kill boundary forces restore from the previous \
          generation: one segment is re-run deterministically";
@@ -2849,9 +2790,7 @@ let t17_soak =
     soak_segments = 6;
     soak_last_checkpoint = 2;
     soak_kill_boundary = 2;
-    soak_kv_ops = 60;
-    soak_key_stride = 17;
-    soak_key_space = 40;
+    soak_kv = segment_kv ~id:"t17" ~ops:60 ~stride:17 ~space:40;
     soak_build = t17_build;
   }
 
@@ -2874,7 +2813,8 @@ let t17 ?(seed = 42L) () =
            fault + forged mac + corr replay storm + spoofed source (weights \
            %d/%d/%d/%d, threshold %d); %d frames fenced, %d malformed \
            rejected"
-          t17_soak.soak_segments soak_kv_clients t17_soak.soak_kv_ops
+          t17_soak.soak_segments t17_soak.soak_kv.kv_clients
+          t17_soak.soak_kv.kv_ops
           q.Sysbus.dma_fault_weight q.Sysbus.bad_token_weight
           q.Sysbus.replay_weight q.Sysbus.spoof_weight
           q.Sysbus.quarantine_score
@@ -2887,8 +2827,139 @@ let t17 ?(seed = 42L) () =
          legs above are the determinism evidence";
       ])
 
+(* --- registry ------------------------------------------------------------- *)
+
+(* What an experiment runs besides its table. *)
+type run =
+  | Table_only
+  | Pinned of (seed:int64 -> tie:Engine.tie_break -> sanitize:bool -> System.t)
+      (* the CPU-less half alone, on one engine, run to completion: its
+         registry digest and sanitizer journal are pinned *)
+  | Pinned_soak of soak  (* a soak whose digest is pinned and sanitized *)
+  | Soak of soak  (* a checkpointed soak *)
+
+type experiment = {
+  exp_id : string;
+  exp_table : lanes:int -> seed:int64 -> table;
+  exp_run : run;
+}
+
+(* Every experiment, in `experiment --list` order: the one place its id is
+   written. Tables not handed the seed are fixed workloads. *)
+let registry =
+  let entry ?(run = Table_only) exp_id exp_table =
+    { exp_id; exp_table; exp_run = run }
+  in
+  let fixed f ~lanes:_ ~seed:_ = f () in
+  [
+    entry "f1" (fixed f1);
+    entry "f2" (fixed f2);
+    entry "t1"
+      (fun ~lanes:_ ~seed -> t1 ~seed ())
+      ~run:
+        (Pinned
+           (fun ~seed ~tie ~sanitize ->
+             fst
+               (t1_decentralized ~tie ~sanitize ~seed ~enable_tokens:true ())));
+    entry "t1-notokens" (fun ~lanes:_ ~seed ->
+        t1 ~enable_tokens:false ~seed ());
+    entry "t2" (fixed t2);
+    entry "t3" (fixed t3);
+    entry "t4" (fixed t4);
+    entry "t5" (fixed t5);
+    entry "t6" (fixed t6);
+    entry "t7" (fixed t7);
+    entry "t8" (fixed t8);
+    entry "t9" (fixed t9);
+    entry "t10" (fixed t10);
+    entry "t11" (fixed t11);
+    entry "t12" (fixed t12);
+    entry "t13"
+      (fun ~lanes:_ ~seed -> t13 ~seed ())
+      ~run:
+        (Pinned
+           (fun ~seed ~tie ~sanitize ->
+             let system, _, _, _, _ =
+               t13_decentralized ~tie ~sanitize ~seed ()
+             in
+             system));
+    entry "t14"
+      (fun ~lanes:_ ~seed -> t14 ~seed ())
+      ~run:
+        (Pinned
+           (fun ~seed ~tie ~sanitize ->
+             let system, _, _, _, _ =
+               t14_decentralized ~tie ~sanitize ~seed ~guards:true ()
+             in
+             system));
+    entry "t15"
+      (fun ~lanes ~seed -> t15 ~lanes ~seed ())
+      ~run:(Pinned_soak t15_soak);
+    entry "t16"
+      (fun ~lanes ~seed -> t16 ~lanes ~seed ())
+      ~run:(Soak t16_soak);
+    entry "t17" (fun ~lanes:_ ~seed -> t17 ~seed ()) ~run:(Soak t17_soak);
+  ]
+
+let ids = List.map (fun e -> e.exp_id) registry
+let find id = List.find_opt (fun e -> e.exp_id = id) registry
+let by_id id = Option.map (fun e -> e.exp_table) (find id)
+
+let ids_where p =
+  List.filter_map
+    (fun e -> if p e.exp_run then Some e.exp_id else None)
+    registry
+
 let soak_by_id id =
-  List.find_opt (fun s -> s.soak_id = id) [ t16_soak; t17_soak ]
+  match find id with
+  | Some { exp_run = Pinned_soak soak | Soak soak; _ } -> Some soak
+  | _ -> None
+
+let metrics_experiments = ids_where (function Pinned _ -> true | _ -> false)
+
+let sanitize_experiments =
+  ids_where (function Pinned _ | Pinned_soak _ -> true | _ -> false)
+
+(* One full run of a single-engine pinned experiment, returning the soaked
+   system (`lastcpu metrics --exp` prints its telemetry registry). *)
+let soaked_system ~exp ~seed =
+  match find exp with
+  | Some { exp_run = Pinned build; _ } ->
+    build ~seed ~tie:Engine.Fifo ~sanitize:false
+  | _ -> invalid_arg ("soaked_system: unknown experiment " ^ exp)
+
+(* One full run of a pinned experiment: its systems in shard order and the
+   digest the determinism goldens pin. *)
+let run_pinned ~caller ~tie ~sanitize ~seed exp =
+  match find exp with
+  | Some { exp_run = Pinned build; _ } ->
+    let system = build ~seed ~tie ~sanitize in
+    ([| system |], Metrics.digest (Engine.metrics (System.engine system)))
+  | Some { exp_run = Pinned_soak soak; _ } ->
+    let r = run_soak ~tie ~sanitize ~seed soak in
+    (r.soak_systems, r.soak_digest)
+  | _ -> invalid_arg (caller ^ ": unknown experiment " ^ exp)
+
+(* Golden-digest hook: one full run of an experiment, reduced to the
+   metrics digest. The determinism-equivalence test pins these values, so
+   hot-path changes (lazy labels, heap tuning) are provably observation-
+   preserving. *)
+let metrics_digest ~exp ~seed =
+  snd
+    (run_pinned ~caller:"metrics_digest" ~tie:Engine.Fifo ~sanitize:false
+       ~seed exp)
+
+(* --- same-tick ordering sanitizer ----------------------------------------- *)
+
+(* The determinism contract says that when several events share a virtual
+   timestamp, their relative order must not leak into observable state.
+   Check it empirically: run a workload once under the contractual FIFO
+   tie-break and once under a perturbation (LIFO flips every colliding
+   pair; a seed-salted permutation scrambles larger groups), journalling a
+   digest of observable state (metrics registry + bus frame digest) after
+   every multi-event tick. Any divergence is a same-tick ordering race,
+   reported with the labels of the events that collided. *)
+
 
 type sanitize_report = {
   san_exp : string;
@@ -2897,63 +2968,16 @@ type sanitize_report = {
   san_divergence : Sanitizer.divergence option;  (** [None] = no race found *)
 }
 
+(* A multi-shard run's journal is the per-shard journals concatenated in
+   shard order — a deterministic flattening, so journal equality still
+   means "same observable schedule everywhere". *)
+let journal_of systems =
+  List.concat_map
+    (fun system -> Engine.sanitizer_journal (System.engine system))
+    (Array.to_list systems)
+
 let sanitize_journal ~exp ~seed ~tie =
-  let engine_of_system system = System.engine system in
-  match exp with
-  | "t15" ->
-    (* Multi-shard: per-shard journals concatenated in shard order — a
-       deterministic flattening, so journal equality still means "same
-       observable schedule everywhere". *)
-    let r = t15_soak ~tie ~sanitize:true ~seed () in
-    List.concat_map
-      (fun system -> Engine.sanitizer_journal (System.engine system))
-      (Array.to_list r.t15_systems)
-  | _ ->
-    let system =
-      match exp with
-      | "t1" ->
-        let system, _ =
-          t1_decentralized ~seed ~tie ~sanitize:true ~enable_tokens:true ()
-        in
-        system
-      | "t13" ->
-        let system, _, _, _, _ = t13_decentralized ~tie ~sanitize:true ~seed () in
-        system
-      | "t14" ->
-        let system, _, _, _, _ =
-          t14_decentralized ~tie ~sanitize:true ~seed ~guards:true ()
-        in
-        system
-      | _ -> invalid_arg ("sanitize: unknown experiment " ^ exp)
-    in
-    Engine.sanitizer_journal (engine_of_system system)
-
-let sanitize_experiments = [ "t1"; "t13"; "t14"; "t15" ]
-
-(* One full run of a digest-pinned experiment, returning the soaked
-   system (`lastcpu metrics --exp` prints its telemetry registry). *)
-let soaked_system ~exp ~seed =
-  match exp with
-  | "t1" ->
-    let system, _ = t1_decentralized ~seed ~enable_tokens:true () in
-    system
-  | "t13" ->
-    let system, _, _, _, _ = t13_decentralized ~seed () in
-    system
-  | "t14" ->
-    let system, _, _, _, _ = t14_decentralized ~seed ~guards:true () in
-    system
-  | _ -> invalid_arg ("soaked_system: unknown experiment " ^ exp)
-
-(* Golden-digest hook: one full run of an experiment, reduced to the
-   metrics digest. The determinism-equivalence test pins these values, so
-   hot-path changes (lazy labels, heap tuning) are provably observation-
-   preserving. *)
-let metrics_digest ~exp ~seed =
-  match exp with
-  | "t15" -> (t15_soak ~seed ()).t15_digest
-  | _ ->
-    Metrics.digest (Engine.metrics (System.engine (soaked_system ~exp ~seed)))
+  journal_of (fst (run_pinned ~caller:"sanitize" ~tie ~sanitize:true ~seed exp))
 
 let sanitize ?(seed = 42L) ~exp () =
   let perturbations =
@@ -2962,121 +2986,79 @@ let sanitize ?(seed = 42L) ~exp () =
       ("salted", Engine.Salted (Int64.logxor seed 0x5a17edL));
     ]
   in
-  if exp = "t15" then begin
-    (* Diffing the FIFO journal against a perturbed-tie journal assumes the
-       set of multi-event ticks is perturbation-stable. t15 runs two
-       independent paced streams per shard (closed-loop KVS clients and the
-       cross-shard alloc churn), so some collisions are coincidences of
-       unrelated streams: the few service-times of drift a perturbed tie
-       legitimately introduces dissolves those collisions, misaligning the
-       sampled trajectories without any ordering race (the salted run's
-       hash sequence stays a subsequence of the reference's). The t15
-       contracts that are strict and stable are checked instead: the final
-       digest must be tie-invariant, and under each perturbed tie the full
-       per-shard journal must be bit-identical whether one or four domains
-       execute the shards — the temporal layer's boundary merge must not
-       leak lane scheduling even through a perturbed heap. *)
-    let run ~tie ~shards =
+  let report name ~ticks divergence =
+    {
+      san_exp = exp;
+      san_perturbation = name;
+      san_multi_event_ticks = ticks;
+      san_divergence = divergence;
+    }
+  in
+  let diff_journals () =
+    let reference = sanitize_journal ~exp ~seed ~tie:Engine.Fifo in
+    List.map
+      (fun (name, tie) ->
+        let perturbed = sanitize_journal ~exp ~seed ~tie in
+        report name ~ticks:(List.length reference)
+          (Sanitizer.compare_journals ~reference ~perturbed))
+      perturbations
+  in
+  match find exp with
+  | Some { exp_run = Pinned_soak soak; _ } -> (
+    let run ~tie ~lanes =
       (* These runs double as the ownership sanitizer's soak (the dynamic
          half of the D007 audit): every guarded cell touched during a
          window is checked against the touching lane's shard context, so
          a cross-shard access would abort the sanitize pass right here. *)
       Ownership.enable ();
       Fun.protect ~finally:Ownership.disable @@ fun () ->
-      let r = t15_soak ~shards ~tie ~sanitize:true ~seed () in
-      let journal =
-        List.concat_map
-          (fun system -> Engine.sanitizer_journal (System.engine system))
-          (Array.to_list r.t15_systems)
-      in
-      (r.t15_digest, journal)
+      run_soak ~lanes ~tie ~sanitize:true ~seed soak
     in
-    let ref_digest, _ = run ~tie:Engine.Fifo ~shards:1 in
-    List.map
-      (fun (name, tie) ->
-        let d1, j1 = run ~tie ~shards:1 in
-        let d4, j4 = run ~tie ~shards:4 in
-        let divergence =
-          match Sanitizer.compare_journals ~reference:j1 ~perturbed:j4 with
-          | Some d -> Some d
-          | None ->
-            if d1 <> ref_digest || d4 <> ref_digest then
-              (* Journals agree across lanes but the end state depends on
-                 the tie-break: surface it as a divergence past the end of
-                 the journal rather than silently passing. *)
-              Some
-                {
-                  Sanitizer.index = List.length j1;
-                  reference = None;
-                  perturbed = None;
-                }
-            else None
-        in
-        {
-          san_exp = exp;
-          san_perturbation = name;
-          san_multi_event_ticks = List.length j1;
-          san_divergence = divergence;
-        })
-      perturbations
-  end
-  else
-    let reference = sanitize_journal ~exp ~seed ~tie:Engine.Fifo in
-    List.map
-      (fun (name, tie) ->
-        let perturbed = sanitize_journal ~exp ~seed ~tie in
-        {
-          san_exp = exp;
-          san_perturbation = name;
-          san_multi_event_ticks = List.length reference;
-          san_divergence = Sanitizer.compare_journals ~reference ~perturbed;
-        })
-      perturbations
-
-(* --- registry ------------------------------------------------------------------------- *)
-
-let all () =
-  [
-    f1 ();
-    f2 ();
-    t1 ();
-    t2 ();
-    t3 ();
-    t4 ();
-    t5 ();
-    t6 ~doorbells_via_bus:true ();
-    t7 ();
-    t8 ();
-    t9 ();
-    t10 ();
-    t11 ();
-    t12 ();
-    t13 ();
-    t14 ();
-    t15 ();
-    t16 ();
-    t17 ();
-  ]
-
-let by_id ?(shards = 1) = function
-  | "f1" -> Some f1
-  | "f2" -> Some f2
-  | "t1" -> Some (fun () -> t1 ())
-  | "t1-notokens" -> Some (fun () -> t1 ~enable_tokens:false ())
-  | "t2" -> Some t2
-  | "t3" -> Some (fun () -> t3 ())
-  | "t4" -> Some t4
-  | "t5" -> Some t5
-  | "t6" -> Some (fun () -> t6 ~doorbells_via_bus:true ())
-  | "t7" -> Some t7
-  | "t8" -> Some t8
-  | "t9" -> Some t9
-  | "t10" -> Some t10
-  | "t11" -> Some t11
-  | "t12" -> Some t12
-  | "t13" -> Some (fun () -> t13 ())
-  | "t14" -> Some (fun () -> t14 ())
-  | "t15" -> Some (fun () -> t15 ~shards ())
-  | "t16" -> Some (fun () -> t16 ~lanes:shards ())
-  | "t17" -> Some (fun () -> t17 ())
-  | _ -> None
+    let reference = run ~tie:Engine.Fifo ~lanes:1 in
+    match reference.soak_target with
+    | Checkpoint.Single _ -> diff_journals ()
+    | Checkpoint.Sharded _ ->
+      (* Diffing the FIFO journal against a perturbed-tie journal assumes
+         the set of multi-event ticks is perturbation-stable. A sharded
+         soak runs two independent paced streams per shard (closed-loop
+         KVS clients and the cross-shard alloc churn), so some collisions
+         are coincidences of unrelated streams: the few service-times of
+         drift a perturbed tie legitimately introduces dissolves those
+         collisions, misaligning the sampled trajectories without any
+         ordering race (the salted run's hash sequence stays a subsequence
+         of the reference's). The contracts that are strict and stable are
+         checked instead: the final digest must be tie-invariant, and
+         under each perturbed tie the full per-shard journal must be
+         bit-identical whether one or four domains execute the shards —
+         the temporal layer's boundary merge must not leak lane scheduling
+         even through a perturbed heap. *)
+      List.map
+        (fun (name, tie) ->
+          let r1 = run ~tie ~lanes:1 in
+          let r4 = run ~tie ~lanes:4 in
+          let j1 = journal_of r1.soak_systems in
+          let divergence =
+            match
+              Sanitizer.compare_journals ~reference:j1
+                ~perturbed:(journal_of r4.soak_systems)
+            with
+            | Some d -> Some d
+            | None ->
+              if
+                r1.soak_digest <> reference.soak_digest
+                || r4.soak_digest <> reference.soak_digest
+              then
+                (* Journals agree across lanes but the end state depends on
+                   the tie-break: surface it as a divergence past the end
+                   of the journal rather than silently passing. *)
+                Some
+                  {
+                    Sanitizer.index = List.length j1;
+                    reference = None;
+                    perturbed = None;
+                  }
+              else None
+          in
+          report name ~ticks:(List.length j1) divergence)
+        perturbations)
+  | _ -> diff_journals ()

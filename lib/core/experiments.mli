@@ -23,7 +23,7 @@ val f2 : unit -> table
 (** Figure 2: the seven-step KVS initialization sequence, with virtual
     timestamps. *)
 
-val t1 : ?enable_tokens:bool -> unit -> table
+val t1 : ?enable_tokens:bool -> ?seed:int64 -> unit -> table
 (** Control-plane operation latency, CPU-less vs centralized.
     [enable_tokens:false] is the no-capability ablation. *)
 
@@ -42,10 +42,10 @@ val t4 : unit -> table
 val t5 : unit -> table
 (** Address translation: TLB geometry sweep under a Zipfian working set. *)
 
-val t6 : ?doorbells_via_bus:bool -> unit -> table
-(** VIRTIO virtqueue throughput vs queue depth. [doorbells_via_bus:true]
-    adds the §2.3 ablation column: notifications conflated onto the
-    control bus instead of MSI-style memory writes. *)
+val t6 : unit -> table
+(** VIRTIO virtqueue throughput vs queue depth, with doorbells as
+    MSI-style memory writes and, as the §2.3 ablation, conflated onto the
+    control bus. *)
 
 val t7 : unit -> table
 (** End-to-end KVS under YCSB-like mixes, both designs. *)
@@ -81,49 +81,21 @@ val t14 : ?seed:int64 -> unit -> table
     control, E_busy backpressure, circuit breaker, EAGAIN run queues) the
     pulse is shed and recovery goodput returns to the warm baseline. *)
 
-(** {2 T15: temporal decoupling} *)
-
-type t15_result = {
-  t15_events : int;  (** events executed, summed over shards *)
-  t15_elapsed : int64;  (** max shard virtual clock at drain *)
-  t15_digest : int64;
-      (** per-shard metrics digests combined in shard order — THE value the
-          determinism contract pins: independent of lane count *)
-  t15_boundary : int;  (** cross-shard messages delivered at quantum edges *)
-  t15_windows : int;  (** rendezvous windows executed *)
-  t15_systems : System.t array;
-}
-
-val t15_soak :
-  ?shards:int ->
-  ?quantum:int64 ->
-  ?tie:Lastcpu_sim.Engine.tie_break ->
-  ?sanitize:bool ->
-  seed:int64 ->
-  unit ->
-  t15_result
-(** The multi-shard soak: a fixed ring of four device clusters (full
-    Systems on their own engines), coupled with {!Lastcpu_sim.Temporal} +
-    {!Lastcpu_bus.Shardlink}; each shard runs a local KVS closed loop
-    while churning alloc/free pairs against the next shard's memory
-    controller across the quantum boundary. [shards] (default 1) is the
-    number of execution lanes (Domains) only — for a fixed (seed,
-    [quantum]) the result is bit-identical whatever its value. [quantum]
-    defaults to the lookahead (50 us). *)
-
-val t15 : ?shards:int -> ?quantum:int64 -> ?seed:int64 -> unit -> table
-(** {!t15_soak} rendered as a table whose every cell is a pure function of
-    (seed, quantum) — CI diffs the output of [--shards 1] vs [--shards 4]
-    runs verbatim. *)
-
-(** {2 Segmented soaks: checkpoint, kill, resume (T16, T17)} *)
+(** {2 Soaks: segments, checkpoint, kill, resume (T15, T16, T17)} *)
 
 type soak
-(** A soak run as checkpointed segments: its topology, segment bodies,
+(** A soak run as segments: its topology, kv load, segment bodies,
     post-segment checks and last checkpointable boundary. *)
 
 val soak_by_id : string -> soak option
-(** ["t16"]: the t15 ring in five segments, checkpointable at every
+(** ["t15"]: a fixed ring of four device clusters (full Systems on their
+    own engines), coupled with {!Lastcpu_sim.Temporal} +
+    {!Lastcpu_bus.Shardlink}, run as one segment with no checkpoint. Each
+    shard runs a local KVS closed loop while churning alloc/free pairs
+    against the next shard's memory controller across the quantum
+    boundary.
+
+    ["t16"]: the t15 ring in five segments, checkpointable at every
     boundary; shard 0 carries an SSD whose crash window (and the NIC's
     tripped circuit breaker) straddles two checkpoints.
 
@@ -139,7 +111,7 @@ val soak_by_id : string -> soak option
 
 val kill_boundary : soak -> int
 (** Boundary where the kill leg of the soak's table dies mid-checkpoint
-    (t16: 3, t17: 2). *)
+    (t16: 3, t17: 2; t15: 0, it has none). *)
 
 type soak_result = {
   soak_name : string;  (** the soak's experiment id *)
@@ -155,8 +127,11 @@ type soak_result = {
           the primary file or the previous-generation fallback restored *)
   soak_extras : (string * string) list;
       (** soak-specific observables at drain, in {!final_line} order
-          (t17: quarantines, stale, failovers, rogue trust) *)
+          (t15: boundary messages, windows; t17: quarantines, stale,
+          failovers, rogue trust) *)
   soak_systems : System.t array;
+  soak_target : Checkpoint.target;
+      (** what a checkpoint covers: [Sharded] for the ring soaks *)
 }
 
 val run_soak :
@@ -183,17 +158,23 @@ val run_soak :
     for a kill mid-checkpoint. [lanes] is the execution-lane count of a
     sharded soak only; results are lane-independent.
     @raise Invalid_argument when a snapshot exists but cannot be restored
-    (unreadable, wrong tag or topology), when [kill_at] is given without
-    a snapshot path, names a boundary where no checkpoint is written, or
-    one the restored run has already passed — all before any segment
-    runs — and when a segment fails to converge or a postcondition does
-    not hold. *)
+    (unreadable, wrong tag or topology), when [snapshot_path] is given
+    for a soak that checkpoints no boundary (t15), when [kill_at] is
+    given without a snapshot path, names a boundary where no checkpoint
+    is written, or one the restored run has already passed — all before
+    any segment runs — and when a segment fails to converge or a
+    postcondition does not hold. *)
 
 val final_line : soak_result -> string
 (** ["<id> final: digest=… events=… elapsed_ns=…"] followed by the soak's
     extras as [key=value]: everything observable, nothing about
     provenance — an uninterrupted run and a killed-and-resumed one print
     the same line. *)
+
+val t15 : ?lanes:int -> ?seed:int64 -> unit -> table
+(** The t15 soak as a one-row table: events, virtual clock, boundary
+    messages, windows and digest. Every cell is a pure function of the
+    seed — CI diffs [--shards 1] vs [--shards 4] output verbatim. *)
 
 val t16 : ?lanes:int -> ?seed:int64 -> unit -> table
 (** The full kill-resume cycle in one table: an uninterrupted run, a run
@@ -207,6 +188,43 @@ val t17 : ?seed:int64 -> unit -> table
     runs of the t17 soak in one table; the verdict row pins bit-identical
     digests, events and virtual clocks. *)
 
+(** {2 Registry}
+
+    One list declares every experiment: its id, its table (given the
+    execution-lane count and the seed) and, for the digest-pinned runs
+    (t1, t13, t14, t15), how to run its CPU-less half alone. Everything
+    below is derived from it. *)
+
+val ids : string list
+(** Every experiment id, in listing order: f1, f2, t1, t1-notokens,
+    t2 … t17. *)
+
+val by_id : string -> (lanes:int -> seed:int64 -> table) option
+(** The experiment's table. [lanes] is the execution-lane count of the
+    sharded soaks (t15, t16; their output does not depend on it). [seed]
+    reaches t1, t13-t17; the other tables are fixed workloads. *)
+
+val metrics_experiments : string list
+(** The pinned runs on one engine, whose registry {!soaked_system}
+    returns (["t1"; "t13"; "t14"]). *)
+
+val sanitize_experiments : string list
+(** The digest-pinned runs, which the sanitizer drives
+    (["t1"; "t13"; "t14"; "t15"]). *)
+
+val soaked_system : exp:string -> seed:int64 -> System.t
+(** Build and run [exp] (one of {!metrics_experiments}) to completion with
+    the given seed, returning the soaked system (for t13 and t14 the
+    CPU-less half; t14 with its overload guards armed). Same seed ⇒
+    byte-identical telemetry registry. *)
+
+val metrics_digest : exp:string -> seed:int64 -> int64
+(** Build and run [exp] (one of {!sanitize_experiments}) with the given
+    seed and return the {!Lastcpu_sim.Metrics.digest} of its telemetry
+    registry (a soak: the shard-ordered combination of per-shard digests,
+    [soak_digest]). This is the golden value the determinism-equivalence
+    test pins: hot-path optimisations must keep it bit-identical. *)
+
 (** {2 Same-tick ordering sanitizer} *)
 
 type sanitize_report = {
@@ -217,24 +235,6 @@ type sanitize_report = {
       (** [None] = no ordering race found under this perturbation *)
 }
 
-val sanitize_experiments : string list
-(** Experiment ids the sanitizer can drive
-    (["t1"; "t13"; "t14"; "t15"]). *)
-
-val soaked_system : exp:string -> seed:int64 -> System.t
-(** Build and run experiment [exp] ("t1", "t13" or "t14") to completion
-    with the given seed, returning the soaked system (for t13 and t14 the
-    CPU-less half; t14 with its overload guards armed). Same seed ⇒
-    byte-identical telemetry registry. *)
-
-val metrics_digest : exp:string -> seed:int64 -> int64
-(** Build and run experiment [exp] ("t1", "t13", "t14" or "t15") with the
-    given seed and return the {!Lastcpu_sim.Metrics.digest} of its
-    telemetry registry ("t15": the shard-ordered combination of per-shard
-    digests, [t15_digest]). This is the golden value the
-    determinism-equivalence test pins: hot-path optimisations must keep it
-    bit-identical. *)
-
 val sanitize_journal :
   exp:string ->
   seed:int64 ->
@@ -242,7 +242,8 @@ val sanitize_journal :
   Lastcpu_sim.Sanitizer.tick list
 (** The full sanitizer journal of one run of [exp] under the given
     tie-break (the raw material {!sanitize} compares; exposed so the
-    golden determinism test can pin journals, labels included). *)
+    golden determinism test can pin journals, labels included). A soak's
+    journal is its per-shard journals in shard order. *)
 
 val sanitize : ?seed:int64 -> exp:string -> unit -> sanitize_report list
 (** Run experiment [exp] once under the contractual FIFO same-tick order
@@ -250,20 +251,12 @@ val sanitize : ?seed:int64 -> exp:string -> unit -> sanitize_report list
     observable-state digest after every multi-event tick. A report's
     [san_divergence] names the first tick where the perturbed run's
     observable state differs — a same-tick ordering race, with the
-    colliding events' labels. Raises [Invalid_argument] for unknown [exp].
+    colliding events' labels. Raises [Invalid_argument] for an [exp] not
+    in {!sanitize_experiments}.
 
-    "t15" is multi-shard and its journal samples the trajectory at
-    collisions of independent streams, which legitimate tie-break drift
-    dissolves, so the FIFO-vs-perturbed diff is replaced by the strict t15
-    contracts: the final digest must be tie-invariant, and under each
-    perturbed tie the shard-ordered journal must be bit-identical between
-    one and four execution lanes. *)
-
-val all : unit -> table list
-(** Every figure and table, in order. *)
-
-val by_id : ?shards:int -> string -> (unit -> table) option
-(** Look up an experiment by id ("f1", "f2", "t1", "t1-notokens",
-    "t2".."t17"). [shards] (default 1) sets the execution-lane count for
-    "t15" and "t16" (ignored by every other experiment — their tables are
-    single-engine runs). *)
+    A soak whose target is [Checkpoint.Sharded] (t15) samples its
+    trajectory at collisions of independent streams, which legitimate
+    tie-break drift dissolves, so the FIFO-vs-perturbed diff is replaced
+    by the strict sharded contracts: the final digest must be
+    tie-invariant, and under each perturbed tie the shard-ordered journal
+    must be bit-identical between one and four execution lanes. *)

@@ -105,16 +105,45 @@ let test_t1_same_order_of_magnitude () =
       | _ -> Alcotest.fail "bad t1 row")
     t.E.rows
 
+let all_ids =
+  [ "f1"; "f2"; "t1"; "t1-notokens"; "t2"; "t3"; "t4"; "t5"; "t6"; "t7";
+    "t8"; "t9"; "t10"; "t11"; "t12"; "t13"; "t14"; "t15"; "t16"; "t17" ]
+
 let test_registry_complete () =
+  Alcotest.(check (list string)) "every id, in listing order" all_ids E.ids;
   List.iter
     (fun id ->
       match E.by_id id with
       | Some _ -> ()
       | None -> Alcotest.fail ("missing experiment " ^ id))
-    [ "f1"; "f2"; "t1"; "t1-notokens"; "t2"; "t3"; "t4"; "t5"; "t6"; "t7";
-      "t8"; "t9"; "t10"; "t11"; "t12" ];
+    all_ids;
   Alcotest.(check (option Alcotest.reject)) "unknown id" None
     (Option.map (fun _ -> ()) (E.by_id "t99"))
+
+(* The registry hands the seed to the table: t14's arrival jitter is
+   seeded, so seed 7 must render differently from the default 42. *)
+let test_seed_reaches_table () =
+  let render seed =
+    match E.by_id "t14" with
+    | Some table -> Format.asprintf "%a" E.print_table (table ~lanes:1 ~seed)
+    | None -> Alcotest.fail "missing experiment t14"
+  in
+  Alcotest.(check bool) "seed 7 differs from seed 42" true
+    (render 7L <> render 42L)
+
+(* T15 is one segment with no checkpointable boundary: there is nothing
+   to kill mid-checkpoint, so a kill is refused before any segment runs. *)
+let test_t15_rejects_kill () =
+  match E.soak_by_id "t15" with
+  | None -> Alcotest.fail "no t15 soak"
+  | Some soak -> (
+    Alcotest.(check int) "no kill boundary" 0 (E.kill_boundary soak);
+    let path = Filename.temp_file "lastcpu-t15" ".snap" in
+    Sys.remove path;
+    match E.run_soak ~seed:42L ~snapshot_path:path ~kill_at:1 soak with
+    | _ -> Alcotest.fail "kill accepted on t15"
+    | exception Invalid_argument _ ->
+      Alcotest.(check bool) "nothing written" false (Sys.file_exists path))
 
 let () =
   Alcotest.run "experiments"
@@ -129,5 +158,11 @@ let () =
           Alcotest.test_case "t10 wa vs op" `Quick test_t10_wa_vs_op;
           Alcotest.test_case "t11 crossover" `Quick test_t11_crossover;
         ] );
-      ("registry", [ Alcotest.test_case "complete" `Quick test_registry_complete ]);
+      ( "registry",
+        [
+          Alcotest.test_case "complete" `Quick test_registry_complete;
+          Alcotest.test_case "seed reaches the table" `Quick
+            test_seed_reaches_table;
+          Alcotest.test_case "t15 rejects a kill" `Quick test_t15_rejects_kill;
+        ] );
     ]

@@ -275,26 +275,32 @@ let test_shardlink_round_trip () =
 
 (* --- T15: the determinism contract end to end --------------------------- *)
 
+let t15_run ?sanitize lanes =
+  match Experiments.soak_by_id "t15" with
+  | Some soak -> Experiments.run_soak ?sanitize ~lanes ~seed:42L soak
+  | None -> Alcotest.fail "no t15 soak"
+
 (* The full soak, once per lane count: digests, event counts and sanitizer
    journals must be bit-identical — lanes are an execution detail. *)
 let test_t15_lane_invariance () =
-  let r1 = Experiments.t15_soak ~shards:1 ~seed:42L () in
-  let r4 = Experiments.t15_soak ~shards:4 ~seed:42L () in
-  Alcotest.(check int64) "digest" r1.Experiments.t15_digest
-    r4.Experiments.t15_digest;
-  Alcotest.(check int) "events executed" r1.Experiments.t15_events
-    r4.Experiments.t15_events;
-  Alcotest.(check int) "boundary messages" r1.Experiments.t15_boundary
-    r4.Experiments.t15_boundary;
-  Alcotest.(check int) "windows" r1.Experiments.t15_windows
-    r4.Experiments.t15_windows;
-  Alcotest.(check int64) "virtual elapsed" r1.Experiments.t15_elapsed
-    r4.Experiments.t15_elapsed
+  let r1 = t15_run 1 and r4 = t15_run 4 in
+  Alcotest.(check int64) "digest" r1.Experiments.soak_digest
+    r4.Experiments.soak_digest;
+  Alcotest.(check int) "events executed" r1.Experiments.soak_events
+    r4.Experiments.soak_events;
+  Alcotest.(check (list (pair string string)))
+    "boundary messages and windows" r1.Experiments.soak_extras
+    r4.Experiments.soak_extras;
+  Alcotest.(check (list string)) "extras are boundary messages and windows"
+    [ "boundary"; "windows" ]
+    (List.map fst r1.Experiments.soak_extras);
+  Alcotest.(check int64) "virtual elapsed" r1.Experiments.soak_elapsed
+    r4.Experiments.soak_elapsed
 
 let test_t15_sanitizer_journal_lane_invariance () =
-  let journal shards =
-    let r = Experiments.t15_soak ~shards ~sanitize:true ~seed:42L () in
-    Array.to_list r.Experiments.t15_systems
+  let journal lanes =
+    let r = t15_run ~sanitize:true lanes in
+    Array.to_list r.Experiments.soak_systems
     |> List.concat_map (fun sys -> Engine.sanitizer_journal (System.engine sys))
   in
   let j1 = journal 1 and j4 = journal 4 in
@@ -302,10 +308,10 @@ let test_t15_sanitizer_journal_lane_invariance () =
   Alcotest.(check bool) "journals identical (ticks, labels, hashes)" true
     (j1 = j4)
 
-(* The sanitize entry point itself: t15's check is digest tie-invariance
-   plus per-tie lane invariance (not the FIFO-vs-perturbed journal diff,
-   which t15's drift-dissolvable coincidental collisions would trip). Both
-   perturbations must come back clean. *)
+(* The sanitize entry point itself: a sharded soak's check is digest
+   tie-invariance plus per-tie lane invariance (not the FIFO-vs-perturbed
+   journal diff, which t15's drift-dissolvable coincidental collisions
+   would trip). Both perturbations must come back clean. *)
 let test_t15_sanitize_reports_clean () =
   let reports = Experiments.sanitize ~exp:"t15" () in
   Alcotest.(check int) "two perturbations" 2 (List.length reports);

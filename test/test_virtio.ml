@@ -1,4 +1,4 @@
-(* Tests for DMA views, split virtqueues and feature negotiation. *)
+(* Tests for DMA views and split virtqueues. *)
 
 module Types = Lastcpu_proto.Types
 module Layout = Lastcpu_mem.Layout
@@ -6,7 +6,6 @@ module Physmem = Lastcpu_mem.Physmem
 module Iommu = Lastcpu_iommu.Iommu
 module Dma = Lastcpu_virtio.Dma
 module Vq = Lastcpu_virtio.Virtqueue
-module Features = Lastcpu_virtio.Features
 
 let page = Layout.page_size
 
@@ -362,7 +361,7 @@ let vq_model_prop =
         script;
       !ok)
 
-(* --- Features ------------------------------------------------------------------ *)
+(* --- Drain ------------------------------------------------------------------ *)
 
 (* Device.drain must behave exactly like a pop/push_used loop: same
    completions, same order, one call. *)
@@ -406,31 +405,6 @@ let test_vq_drain_batched () =
     [ 200; 202; 204; 206 ] (collect []);
   Alcotest.(check int) "ring fully recycled" size (Vq.Driver.num_free driver)
 
-let test_features_negotiate () =
-  let offered = Features.mask [ Features.version_1; Features.indirect_desc ] in
-  let wanted = Features.mask [ Features.version_1 ] in
-  let required = Features.mask [ Features.version_1 ] in
-  match Features.negotiate ~offered ~wanted ~required with
-  | Ok n ->
-    Alcotest.(check bool) "has v1" true (Features.has n Features.version_1);
-    Alcotest.(check bool) "no indirect" false (Features.has n Features.indirect_desc)
-  | Error e -> Alcotest.fail e
-
-let test_features_reject_unoffered () =
-  let offered = Features.mask [ Features.version_1 ] in
-  let wanted = Features.mask [ Features.version_1; Features.event_idx ] in
-  match Features.negotiate ~offered ~wanted ~required:0L with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unoffered feature accepted"
-
-let test_features_reject_missing_required () =
-  let offered = Features.mask [ Features.version_1; Features.event_idx ] in
-  let wanted = Features.mask [ Features.event_idx ] in
-  let required = Features.mask [ Features.version_1 ] in
-  match Features.negotiate ~offered ~wanted ~required with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "missing required accepted"
-
 let () =
   Alcotest.run "virtio"
     [
@@ -464,12 +438,5 @@ let () =
         [
           Alcotest.test_case "batched drain equals pop/push loop" `Quick
             test_vq_drain_batched;
-        ] );
-      ( "features",
-        [
-          Alcotest.test_case "negotiate" `Quick test_features_negotiate;
-          Alcotest.test_case "reject unoffered" `Quick test_features_reject_unoffered;
-          Alcotest.test_case "reject missing required" `Quick
-            test_features_reject_missing_required;
         ] );
     ]
