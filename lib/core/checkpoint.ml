@@ -13,32 +13,38 @@ let engines = function
 let engine_section i = Printf.sprintf "%d/engine" i
 let hook_section i name = Printf.sprintf "%d/hook/%s" i name
 
+(* Sections are produced while the file streams out, so a target that
+   cannot be checkpointed is refused here, before any file is opened; a
+   hook that refuses mid-write leaves both generations untouched
+   (Snapshot.write). *)
 let save ?torn_keep_bytes ~path ~tag target =
   let es = engines target in
-  let meta =
-    let w = Snapshot.W.create () in
+  let quiescent =
+    match target with
+    | Single e -> Engine.quiescent e
+    | Sharded tp -> Temporal.quiescent tp
+  in
+  if not quiescent then invalid_arg "Checkpoint.save: target is not quiescent";
+  let meta w =
     Snapshot.W.string w tag;
-    Snapshot.W.varint w (Array.length es);
-    Snapshot.W.contents w
+    Snapshot.W.varint w (Array.length es)
   in
   let head =
-    { Snapshot.name = "meta"; body = meta }
+    ("meta", meta)
     ::
     (match target with
     | Single _ -> []
-    | Sharded tp -> [ { Snapshot.name = "temporal"; body = Temporal.save_state tp } ])
+    | Sharded tp -> [ ("temporal", Temporal.save_state tp) ])
   in
   let shards =
-    Array.to_list
-      (Array.mapi
+    List.concat
+      (List.mapi
          (fun i e ->
-           { Snapshot.name = engine_section i; body = Engine.save_state e }
+           (engine_section i, Engine.save_state e)
            :: List.map
-                (fun (name, save, _restore) ->
-                  { Snapshot.name = hook_section i name; body = save () })
+                (fun (name, save, _restore) -> (hook_section i name, save))
                 (Engine.snapshot_hooks e))
-         es)
-    |> List.concat
+         (Array.to_list es))
   in
   let sections = head @ shards in
   match torn_keep_bytes with

@@ -22,14 +22,16 @@ type target =
   | Sharded of Lastcpu_sim.Temporal.t
 
 val save : ?torn_keep_bytes:int -> path:string -> tag:string -> target -> unit
-(** Collect every section and atomically write the snapshot (keeping the
-    displaced previous file as the fallback generation).
+(** Stream every section into the snapshot and atomically replace it
+    (keeping the displaced previous file as the fallback generation).
+    Each section is produced while the file is written, through one
+    reused {!Lastcpu_sim.Snapshot.W.t}; a failure part-way leaves both
+    generations untouched and no temp file behind.
     [torn_keep_bytes] is the chaos hook: write a deliberately truncated
     primary instead — the on-disk state of a process killed mid-checkpoint
     by a non-atomic writer.
-    @raise Invalid_argument when the target is not quiescent (via
-    {!Lastcpu_sim.Engine.save_state}) or a subsystem refuses to
-    checkpoint. *)
+    @raise Invalid_argument when the target is not quiescent (checked
+    before any file is opened) or a subsystem refuses to checkpoint. *)
 
 val restore :
   path:string ->

@@ -2157,10 +2157,8 @@ let run_soak ?(lanes = 1) ?(tie = Engine.Fifo) ?(sanitize = false)
      process learns where to continue from the file, not from flags. *)
   let progress = ref 0 in
   Engine.register_snapshot engines.(0) ~name:(soak.soak_id ^ "-progress")
-    ~save:(fun () ->
-      let w = Snapshot.W.create () in
-      Snapshot.W.varint w !progress;
-      Snapshot.W.contents w)
+    ~save:(fun w ->
+      Snapshot.W.varint w !progress)
     ~restore:(fun data ->
       progress := Snapshot.R.varint (Snapshot.R.of_string data));
   let tag = Printf.sprintf "%s:%Ld" soak.soak_id seed in

@@ -157,16 +157,10 @@ let build ?(spec = default_spec) () =
      DMA view find the restored DRAM already in place. *)
   let module Snapshot = Lastcpu_sim.Snapshot in
   Engine.register_snapshot engine ~name:"dram"
-    ~save:(fun () ->
-      let w = Snapshot.W.create () in
-      Physmem.save w memory;
-      Snapshot.W.contents w)
+    ~save:(fun w -> Physmem.save w memory)
     ~restore:(fun data -> Physmem.restore (Snapshot.R.of_string data) memory);
   Engine.register_snapshot engine ~name:"system"
-    ~save:(fun () ->
-      let w = Snapshot.W.create () in
-      Snapshot.W.varint w t.next_pasid;
-      Snapshot.W.contents w)
+    ~save:(fun w -> Snapshot.W.varint w t.next_pasid)
     ~restore:(fun data ->
       t.next_pasid <- Snapshot.R.varint (Snapshot.R.of_string data));
   t

@@ -309,8 +309,7 @@ let dma t ~pasid =
    already lost. *)
 module Snapshot = Lastcpu_sim.Snapshot
 
-let save_state t =
-  let w = Snapshot.W.create () in
+let save_state t w =
   Snapshot.W.varint w t.next_corr;
   Snapshot.W.varint w t.next_conn;
   Snapshot.W.varint w t.next_queue;
@@ -338,8 +337,7 @@ let save_state t =
     (fun w (pasid, d) ->
       Snapshot.W.vint w pasid;
       Snapshot.W.varint w (Dma.accesses d))
-    (Detmap.bindings t.dmas);
-  Snapshot.W.contents w
+    (Detmap.bindings t.dmas)
 
 let restore_state t body =
   let r = Snapshot.R.of_string body in
@@ -441,7 +439,7 @@ let create ?shard sysbus ~mem ~name ?tlb_sets ?tlb_ways ?(no_tlb = false) () =
   in
   t.dev_id <- id;
   Engine.register_snapshot engine ~name:("dev:" ^ actor)
-    ~save:(fun () -> save_state t)
+    ~save:(save_state t)
     ~restore:(restore_state t);
   Iommu.attach_fault_handler iommu (fun fault ->
       Metrics.incr t.m_faults;

@@ -45,8 +45,7 @@ let default_dram_pages = 65536
 module Snapshot = Lastcpu_sim.Snapshot
 module Detmap = Lastcpu_sim.Detmap
 
-let save_state t =
-  let w = Snapshot.W.create () in
+let save_state t w =
   Buddy.save w t.buddy;
   Snapshot.W.i64 w (Rng.state t.rng);
   Snapshot.W.list w
@@ -74,8 +73,7 @@ let save_state t =
     (fun w (pasid, va) ->
       Snapshot.W.vint w pasid;
       Snapshot.W.i64 w va)
-    (List.map fst (Detmap.bindings t.inflight));
-  Snapshot.W.contents w
+    (List.map fst (Detmap.bindings t.inflight))
 
 let restore_state t body =
   let r = Snapshot.R.of_string body in
@@ -316,7 +314,7 @@ let create sysbus ~mem ?(name = "memctl") ?(dram_base = default_dram_base)
   Sysbus.register_controller sysbus (Device.id dev) ~resource:"dram" ~key:t.key;
   Sysbus.on_revoke sysbus (fun ~device -> revoke_subject t ~subject:device);
   Engine.register_snapshot engine ~name:(Device.actor dev)
-    ~save:(fun () -> save_state t)
+    ~save:(save_state t)
     ~restore:(restore_state t);
   Device.start dev;
   t

@@ -1,5 +1,5 @@
 module Faults = Lastcpu_sim.Faults
-module Wire = Lastcpu_proto.Wire
+module Crc32 = Lastcpu_sim.Crc32
 
 type geometry = { blocks : int; pages_per_block : int; page_size : int }
 
@@ -69,7 +69,7 @@ let page_crc t ~block ~page b =
   let c = t.data.(block).crcs.(page) in
   if c >= 0 then c
   else begin
-    let c = Wire.crc32 (Bytes.unsafe_to_string b) in
+    let c = Crc32.string (Bytes.unsafe_to_string b) in
     t.data.(block).crcs.(page) <- c;
     c
   end
@@ -102,7 +102,7 @@ let read_page t ~block ~page =
               (Char.chr
                  (Char.code (Bytes.get flipped i) lxor (1 lsl (bit mod 8))));
             let s = Bytes.to_string flipped in
-            if Wire.crc32 s <> page_crc t ~block ~page b then
+            if Crc32.string s <> page_crc t ~block ~page b then
               Error "uncorrectable bit error (ECC)"
             else Ok s)
       | Some _ | None -> Ok (Bytes.to_string b)))
@@ -161,18 +161,17 @@ let save w t =
   Array.iter
     (fun blk ->
       Snapshot.W.varint w blk.erases;
-      let programmed = ref [] in
+      Snapshot.W.varint w
+        (Array.fold_left
+           (fun n p -> if Option.is_some p then n + 1 else n)
+           0 blk.pages);
       Array.iteri
-        (fun i p ->
-          match p with
+        (fun i -> function
           | None -> ()
-          | Some b -> programmed := (i, b) :: !programmed)
-        blk.pages;
-      Snapshot.W.list w
-        (fun w (i, b) ->
-          Snapshot.W.varint w i;
-          Snapshot.W.string w (Bytes.to_string b))
-        (List.rev !programmed))
+          | Some b ->
+            Snapshot.W.varint w i;
+            Snapshot.W.bytes w b)
+        blk.pages)
     t.data;
   Snapshot.W.varint w t.read_count;
   Snapshot.W.varint w t.program_count;
@@ -195,10 +194,10 @@ let restore r t =
       let n = Snapshot.R.varint r in
       for _ = 1 to n do
         let i = Snapshot.R.varint r in
-        let contents = Snapshot.R.string r in
-        if i < 0 || i >= pages_per_block || String.length contents <> page_size
+        let contents = Snapshot.R.bytes r in
+        if i < 0 || i >= pages_per_block || Bytes.length contents <> page_size
         then raise (Snapshot.R.Corrupt "nand page out of shape");
-        blk.pages.(i) <- Some (Bytes.of_string contents)
+        blk.pages.(i) <- Some contents
       done)
     t.data;
   t.read_count <- Snapshot.R.varint r;

@@ -941,7 +941,7 @@ let save w t =
       Snapshot.W.list w
         (fun w (b, data) ->
           Snapshot.W.varint w b;
-          Snapshot.W.string w (Bytes.to_string data))
+          Snapshot.W.bytes w data)
         (Detmap.bindings cache))
     t.cache
 
@@ -953,10 +953,10 @@ let restore r t =
     let n = Snapshot.R.varint r in
     for _ = 1 to n do
       let b = Snapshot.R.varint r in
-      let data = Snapshot.R.string r in
-      if String.length data <> t.block_size then
+      let data = Snapshot.R.bytes r in
+      if Bytes.length data <> t.block_size then
         raise (Snapshot.R.Corrupt "fs cache block has wrong size");
-      Hashtbl.replace cache b (Bytes.of_string data)
+      Hashtbl.replace cache b data
     done
   | true, None | false, Some _ ->
     invalid_arg "Fs.restore: cache presence differs from checkpoint"

@@ -1,4 +1,5 @@
 module Wire = Lastcpu_proto.Wire
+module Crc32 = Lastcpu_sim.Crc32
 
 type record = Put of { key : string; value : string } | Del of { key : string }
 
@@ -17,7 +18,7 @@ let encode r =
      CRC-32 of the body, then the body. Legacy logs (no top bit, no CRC)
      still decode; the marker bit is free because record bodies are tiny. *)
   let len = String.length body in
-  let crc = Wire.crc32 body in
+  let crc = Crc32.string body in
   let u32 v =
     let b = Bytes.create 4 in
     Bytes.set b 0 (Char.chr (v land 0xff));
@@ -61,7 +62,7 @@ let decode_all data =
         let body = String.sub data (pos + header) len in
         (* A CRC mismatch means the record (or its tail) never fully hit
            flash: stop here, exactly like a short final record. *)
-        if checksummed && Wire.crc32 body <> u32_at (pos + 4) then
+        if checksummed && Crc32.string body <> u32_at (pos + 4) then
           (List.rev acc, pos)
         else
           match decode_body body with

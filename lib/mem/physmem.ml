@@ -217,21 +217,19 @@ let touched_frames t = Hashtbl.length t.touched
    even when their contents have been rewritten to zero. *)
 module Snapshot = Lastcpu_sim.Snapshot
 
-let frame_contents t page =
-  (* The format always carries whole frames. If DRAM ends mid-frame the
-     tail beyond [size] travels as zeros (it is unaddressable anyway). *)
-  let out = Bytes.make frame_size '\000' in
-  let addr = Layout.addr_of_page page in
-  let len = min frame_size (Int64.to_int (Int64.sub t.size addr)) in
-  read_into t addr out ~pos:0 ~len;
-  Bytes.unsafe_to_string out
-
+(* The format always carries whole frames, copied straight out of the
+   chunk (every touched frame's chunk is materialised). If DRAM ends
+   mid-frame the tail beyond [size] travels as the chunk's zeros: it is
+   unaddressable, so never written. *)
 let save w t =
   Snapshot.W.i64 w t.size;
   Snapshot.W.list w
     (fun w (page, ()) ->
       Snapshot.W.i64 w page;
-      Snapshot.W.string w (frame_contents t page))
+      let addr = Layout.addr_of_page page in
+      Snapshot.W.bigarray w
+        (chunk t (chunk_of_addr addr))
+        ~pos:(offset_in_chunk addr) ~len:frame_size)
     (Lastcpu_sim.Detmap.bindings t.touched)
 
 let restore r t =

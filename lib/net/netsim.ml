@@ -43,15 +43,13 @@ and t = {
    receiverless placeholders so the address counter lines up and
    endpoints attached after the resume get the same addresses they would
    have gotten in the uninterrupted run. *)
-let save_state t =
-  let w = Snapshot.W.create () in
+let save_state t w =
   Snapshot.W.array w
     (fun w ep ->
       Snapshot.W.string w ep.ep_name;
       Snapshot.W.vint w ep.ep_shard;
       Station.save w ep.egress)
-    t.endpoints;
-  Snapshot.W.contents w
+    t.endpoints
 
 let restore_state t s =
   let r = Snapshot.R.of_string s in
@@ -107,7 +105,7 @@ let create ?(shard = 0) engine =
     }
   in
   Engine.register_snapshot engine ~name:t.actor
-    ~save:(fun () -> save_state t)
+    ~save:(save_state t)
     ~restore:(fun s -> restore_state t s);
   t
 

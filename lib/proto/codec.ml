@@ -1,4 +1,5 @@
 open Wire
+module Crc32 = Lastcpu_sim.Crc32
 
 (* Tag space: one byte per payload constructor. Keep stable; tests pin it. *)
 let tag_of_payload : Message.payload -> int = function
@@ -402,7 +403,7 @@ let decode s =
    corruption detection, e.g. under fault injection. *)
 let frame body =
   let w = Writer.create () in
-  Writer.int64 w (Int64.of_int (Wire.crc32 body));
+  Writer.int64 w (Int64.of_int (Crc32.string body));
   body ^ Writer.contents w
 
 let encode_framed m = frame (encode m)
@@ -413,7 +414,7 @@ let decode_framed s =
   let body = String.sub s 0 (n - 8) in
   let r = Reader.create (String.sub s (n - 8) 8) in
   let crc = Reader.int64 r in
-  if Int64.of_int (Wire.crc32 body) <> crc then
+  if Int64.of_int (Crc32.string body) <> crc then
     raise (Malformed "CRC mismatch");
   decode body
 

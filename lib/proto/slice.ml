@@ -6,8 +6,10 @@
 
 type t = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-(* The same C stub serves string and bytes sources: they share a runtime
-   representation and the stub only reads the source. *)
+(* The memcpy stubs live in lib/sim/bytes_stubs.c, beside the CRC-32 the
+   snapshot writer shares with them. The same stub serves string and
+   bytes sources: they share a runtime representation and the stub only
+   reads the source. *)
 external unsafe_blit_string : string -> int -> t -> int -> int -> unit
   = "lastcpu_blit_string_to_ba"
 [@@noalloc]

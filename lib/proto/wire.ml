@@ -289,34 +289,3 @@ module View_reader = struct
   let option t f = if bool t then Some (f t) else None
   let at_end t = t.pos = t.limit
 end
-
-(* CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320). Guards framed
-   payloads against in-flight corruption, doubles as the NAND ECC model
-   and the WAL record checksum, so it runs over every 4 KiB page on the
-   storage path — hence the slice-by-8 C stub. [crc32_reference] is the
-   original OCaml loop, kept so the test suite can pin the stub to it. *)
-external crc32_stub : string -> int -> int -> int = "lastcpu_crc32" [@@noalloc]
-
-let crc32_sub s pos len =
-  if pos < 0 || len < 0 || pos + len > String.length s then
-    invalid_arg "Wire.crc32_sub";
-  crc32_stub s pos len
-
-let crc32 s = crc32_stub s 0 (String.length s)
-
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
-
-let crc32_reference s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFF in
-  String.iter
-    (fun ch -> c := table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
-    s;
-  !c lxor 0xFFFFFFFF land 0xFFFFFFFF

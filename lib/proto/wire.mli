@@ -129,17 +129,3 @@ module View_reader : sig
   val option : t -> (t -> 'a) -> 'a option
   val at_end : t -> bool
 end
-
-val crc32 : string -> int
-(** CRC-32 (IEEE 802.3) of the whole string, in [\[0, 2^32)]. Any
-    single-bit flip changes the checksum. Computed by a slice-by-8 C
-    stub — this checksum runs over every NAND page program and WAL
-    record, so it is squarely on the storage hot path. *)
-
-val crc32_sub : string -> int -> int -> int
-(** [crc32_sub s pos len]: CRC-32 of the [len] bytes at [pos]. Raises
-    [Invalid_argument] when the range falls outside [s]. *)
-
-val crc32_reference : string -> int
-(** The original table-driven OCaml implementation, kept as the oracle
-    the test suite pins the C stub against. *)

@@ -47,7 +47,7 @@ type t = {
      statics defines quiescence — the only points where a whole-machine
      checkpoint can capture the event queue as data. *)
   mutable static_pending : int;
-  mutable hooks : (string * (unit -> string) * (string -> unit)) list;
+  mutable hooks : (string * (Snapshot.W.t -> unit) * (string -> unit)) list;
   (* reversed registration order *)
   (* Ownership tag, set by the shard coordinator when this engine becomes
      a shard: every schedule is then a guarded access, so a closure that
@@ -270,10 +270,9 @@ let restore_sani r s =
    uses the timestamps to decide which rebuilt statics are still live.
    Draining and re-pushing the heap here is order-preserving: entries
    re-enter in pop order with fresh ascending sequence numbers. *)
-let save_state t =
+let save_state t w =
   if not (quiescent t) then
     invalid_arg "Engine.save_state: queue has volatile events";
-  let w = Snapshot.W.create () in
   Snapshot.W.i64 w t.clock;
   Snapshot.W.varint w t.executed;
   Snapshot.W.varint w t.next_span;
@@ -282,9 +281,8 @@ let save_state t =
   Snapshot.W.list w (fun w (time, _) -> Snapshot.W.i64 w time) entries;
   List.iter (fun (time, f) -> Heap.push t.queue ~priority:time f) entries;
   Snapshot.W.option w save_sani t.sani;
-  Snapshot.W.string w (Metrics.save_state t.metrics);
-  Snapshot.W.string w (Faults.save_state t.faults);
-  Snapshot.W.contents w
+  Snapshot.W.nested w (Metrics.save_state t.metrics);
+  Snapshot.W.nested w (Faults.save_state t.faults)
 
 (* Restore over a freshly REBUILT engine: the same deterministic builder
    that produced the checkpointed machine has already re-created every

@@ -127,18 +127,24 @@ val quiescent : t -> bool
     {!restore_state} and the hooks' [restore]. *)
 
 val register_snapshot :
-  t -> name:string -> save:(unit -> string) -> restore:(string -> unit) -> unit
-(** Register a subsystem checkpoint hook. Hooks are kept in registration
+  t ->
+  name:string ->
+  save:(Snapshot.W.t -> unit) ->
+  restore:(string -> unit) ->
+  unit
+(** Register a subsystem checkpoint hook: [save] writes the section body
+    into the writer it is handed (the checkpoint's one reused writer),
+    [restore] reads it back. Hooks are kept in registration
     order; a rebuild therefore re-registers the same names in the same
     order.
     @raise Invalid_argument on a duplicate [name]. *)
 
 val snapshot_hooks :
-  t -> (string * (unit -> string) * (string -> unit)) list
+  t -> (string * (Snapshot.W.t -> unit) * (string -> unit)) list
 (** All registered hooks, in registration order. *)
 
-val save_state : t -> string
-(** Serialize the engine's own state: clock, event/span counters, RNG
+val save_state : t -> Snapshot.W.t -> unit
+(** Write the engine's own state: clock, event/span counters, RNG
     position, sanitizer journal, metrics and fault state, and the multiset
     of pending static timestamps (closures are never serialized).
     @raise Invalid_argument unless {!quiescent}. *)

@@ -106,8 +106,8 @@ val note_revive : t -> unit
 
 (** {2 Checkpointing} *)
 
-val save_state : t -> string
-(** Serialize the per-key occurrence counters. The plan and seed are not
+val save_state : t -> Snapshot.W.t -> unit
+(** Write the per-key occurrence counters. The plan and seed are not
     included — a resume rebuilds them from the experiment spec. *)
 
 val restore_state : t -> string -> unit

@@ -60,8 +60,8 @@ val actors : t -> string list
 
 val size : t -> int
 
-val save_state : t -> string
-(** Serialize the whole registry (instrument values, histogram buckets,
+val save_state : t -> Snapshot.W.t -> unit
+(** Write the whole registry (instrument values, histogram buckets,
     claimed-actor table) for a checkpoint. *)
 
 val restore_state : t -> string -> unit

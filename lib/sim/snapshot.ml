@@ -15,55 +15,61 @@
    file as [path ^ ".1"], and [load] falls back to that previous
    generation when the primary is missing or corrupt.
 
+   [write] streams: each section's producer writes into one reusable
+   [W.t], whose bytes are checksummed (Crc32, the tree's one CRC) and
+   copied straight to the channel; no whole-file buffer is built.
+
    This module is deliberately engine-free: it knows bytes, not
    simulations. Subsystems encode their state with [W]/[R]; the engine's
-   hook registry (see Engine.register_snapshot) decides what gets written.
-   lastcpu_sim depends only on fmt, so the CRC32 lives here rather than
-   reusing the wire-protocol one in lib/proto. *)
+   hook registry (see Engine.register_snapshot) decides what gets written. *)
 
 let version = 1
 let magic = "LCSN"
 
-(* --- CRC32 (IEEE 802.3, reflected), table-driven ------------------------- *)
-
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
-
-let crc32_sub s pos len =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFF in
-  for i = pos to pos + len - 1 do
-    c := table.((!c lxor Char.code s.[i]) land 0xff) lxor (!c lsr 8)
-  done;
-  !c lxor 0xFFFFFFFF
-
-let crc32 s = crc32_sub s 0 (String.length s)
-
 (* --- field codec ---------------------------------------------------------- *)
 
+(* A growable byte buffer plus a fill length. [reset] keeps the storage,
+   so one writer serves every section of a save and settles at the size
+   of the largest. *)
 module W = struct
-  type t = Buffer.t
+  type t = { mutable buf : bytes; mutable len : int }
 
-  let create () = Buffer.create 256
-  let contents w = Buffer.contents w
-  let u8 w n = Buffer.add_char w (Char.chr (n land 0xff))
+  type bigarray =
+    (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+  external unsafe_blit_bigarray : bigarray -> int -> bytes -> int -> int -> unit
+    = "lastcpu_blit_ba_to_bytes"
+  [@@noalloc]
+
+  let create () = { buf = Bytes.create 4096; len = 0 }
+  let reset w = w.len <- 0
+  let contents w = Bytes.sub_string w.buf 0 w.len
+
+  (* The CRC of everything written since the last [reset]. *)
+  let crc w = Crc32.update 0 (Bytes.unsafe_to_string w.buf) 0 w.len
+
+  let reserve w n =
+    let need = w.len + n in
+    if need > Bytes.length w.buf then begin
+      let buf = Bytes.create (max need (2 * Bytes.length w.buf)) in
+      Bytes.blit w.buf 0 buf 0 w.len;
+      w.buf <- buf
+    end
+
+  let u8 w n =
+    if w.len = Bytes.length w.buf then reserve w 1;
+    Bytes.unsafe_set w.buf w.len (Char.unsafe_chr (n land 0xff));
+    w.len <- w.len + 1
 
   let u32 w n =
-    u8 w n;
-    u8 w (n lsr 8);
-    u8 w (n lsr 16);
-    u8 w (n lsr 24)
+    reserve w 4;
+    Bytes.set_int32_le w.buf w.len (Int32.of_int n);
+    w.len <- w.len + 4
 
   let i64 w n =
-    for shift = 0 to 7 do
-      u8 w (Int64.to_int (Int64.shift_right_logical n (8 * shift)))
-    done
+    reserve w 8;
+    Bytes.set_int64_le w.buf w.len n;
+    w.len <- w.len + 8
 
   (* Unsigned LEB128; lengths and other non-negative quantities. *)
   let rec varint w n =
@@ -79,9 +85,40 @@ module W = struct
   let bool w b = u8 w (if b then 1 else 0)
   let float w f = i64 w (Int64.bits_of_float f)
 
+  (* Unprefixed bytes: the container's magic and section bodies. *)
+  let raw w s =
+    let n = String.length s in
+    reserve w n;
+    Bytes.blit_string s 0 w.buf w.len n;
+    w.len <- w.len + n
+
   let string w s =
     varint w (String.length s);
-    Buffer.add_string w s
+    raw w s
+
+  let bytes w b = string w (Bytes.unsafe_to_string b)
+
+  let bigarray w ba ~pos ~len =
+    if pos < 0 || len < 0 || pos > Bigarray.Array1.dim ba - len then
+      invalid_arg "Snapshot.W.bigarray";
+    varint w len;
+    reserve w len;
+    unsafe_blit_bigarray ba pos w.buf w.len len;
+    w.len <- w.len + len
+
+  (* Write the body in place, then slide it right by the width of its
+     length prefix: the bytes [string] would give for [f]'s output. *)
+  let nested w f =
+    let start = w.len in
+    f w;
+    let n = w.len - start in
+    let rec width n = if n < 0x80 then 1 else 1 + width (n lsr 7) in
+    let prefix = width n in
+    reserve w prefix;
+    Bytes.blit w.buf start w.buf (start + prefix) n;
+    w.len <- start;
+    varint w n;
+    w.len <- w.len + n
 
   let list w f xs =
     varint w (List.length xs);
@@ -145,11 +182,13 @@ module R = struct
 
   let string r =
     let len = varint r in
-    if r.pos + len > String.length r.buf then
+    if len > String.length r.buf - r.pos then
       corrupt "truncated (string of %d bytes at %d)" len r.pos;
     let s = String.sub r.buf r.pos len in
     r.pos <- r.pos + len;
     s
+
+  let bytes r = Bytes.unsafe_of_string (string r)
 
   let list r f =
     let n = varint r in
@@ -166,22 +205,50 @@ end
 
 type section = { name : string; body : string }
 
-let encode sections =
-  let w = W.create () in
-  Buffer.add_string w magic;
-  W.u32 w version;
+(* The one frame emitter: every byte of a snapshot file, streamed by
+   [write] or collected by [encode], comes from here. [out buf pos len]
+   receives the file as consecutive byte ranges. Each section's producer
+   fills the one reusable writer [body], whose bytes are checksummed in
+   place and handed out right behind their frame header. The file CRC
+   is assembled from the pieces' CRCs, so no byte is checksummed twice. *)
+let emit out parts =
+  let body = W.create () and head = W.create () in
+  let file_crc = ref 0 in
+  let put (w : W.t) crc =
+    file_crc := Crc32.combine !file_crc crc w.len;
+    out w.buf 0 w.len
+  in
+  W.raw head magic;
+  W.u32 head version;
+  put head (W.crc head);
   List.iter
-    (fun { name; body } ->
-      W.u8 w (Char.code 'S');
-      W.string w name;
-      W.varint w (String.length body);
-      W.u32 w (crc32 body);
-      Buffer.add_string w body)
-    sections;
-  W.u8 w (Char.code 'E');
-  let prefix = Buffer.length w in
-  W.u32 w (crc32_sub (Buffer.contents w) 0 prefix);
-  W.contents w
+    (fun (name, save) ->
+      W.reset body;
+      save body;
+      let crc = W.crc body in
+      W.reset head;
+      W.u8 head (Char.code 'S');
+      W.string head name;
+      W.varint head body.len;
+      W.u32 head crc;
+      put head (W.crc head);
+      put body crc)
+    parts;
+  W.reset head;
+  W.u8 head (Char.code 'E');
+  put head (W.crc head);
+  W.reset head;
+  W.u32 head !file_crc;
+  out head.buf 0 head.len
+
+let render parts =
+  let b = Buffer.create 4096 in
+  emit (Buffer.add_subbytes b) parts;
+  Buffer.contents b
+
+let encode sections =
+  render
+    (List.map (fun { name; body } -> (name, fun w -> W.raw w body)) sections)
 
 let decode s =
   try
@@ -191,23 +258,28 @@ let decode s =
     r.R.pos <- 4;
     let v = R.u32 r in
     if v <> version then R.corrupt "unsupported version %d" v;
+    (* The running CRC of everything read so far: frame headers are
+       checksummed as they pass, bodies folded in by their section CRC. *)
+    let file_crc = ref (Crc32.update 0 s 0 r.R.pos) in
     let rec sections acc =
+      let frame = r.R.pos in
       match Char.chr (R.u8 r) with
       | 'S' ->
         let name = R.string r in
         let len = R.varint r in
         let crc = R.u32 r in
         let start = r.R.pos in
-        if start + len > String.length s then
+        if len > String.length s - start then
           R.corrupt "truncated section %S" name;
-        if crc32_sub s start len <> crc then
+        if Crc32.update 0 s start len <> crc then
           R.corrupt "checksum mismatch in section %S" name;
+        let head_crc = Crc32.update !file_crc s frame (start - frame) in
+        file_crc := Crc32.combine head_crc crc len;
         let body = String.sub s start len in
         r.R.pos <- start + len;
         sections ({ name; body } :: acc)
       | 'E' ->
-        let prefix = r.R.pos in
-        if R.u32 r <> crc32_sub s 0 prefix then
+        if R.u32 r <> Crc32.update !file_crc s frame 1 then
           R.corrupt "file checksum mismatch";
         List.rev acc
       | c -> R.corrupt "bad frame tag %C" c
@@ -223,42 +295,40 @@ let find sections name =
 
 let previous_generation path = path ^ ".1"
 
-let write_raw path data =
-  let oc = open_out_bin path in
-  output_string oc data;
-  close_out oc
-
 let rotate path =
   if Sys.file_exists path then Sys.rename path (previous_generation path)
 
-let write ~path sections =
-  let data = encode sections in
+(* Stream into [path ^ ".tmp"], then rotate and rename into place. If a
+   producer (or the disk) raises part-way, the channel is closed and the
+   temp file removed; neither generation has been touched yet. *)
+let write ~path parts =
   let tmp = path ^ ".tmp" in
-  write_raw tmp data;
-  rotate path;
-  Sys.rename tmp path
+  let oc = open_out_bin tmp in
+  Fun.protect
+    ~finally:(fun () ->
+      close_out_noerr oc;
+      if Sys.file_exists tmp then Sys.remove tmp)
+    (fun () ->
+      emit (output oc) parts;
+      close_out oc;
+      rotate path;
+      Sys.rename tmp path)
 
 (* Chaos hook: simulate the host dying mid-checkpoint. The previous
    generation has already been rotated out of the way (as a real
    checkpoint would), and the primary is left torn at [keep_bytes] — the
-   exact on-disk state a kill -9 between [write_raw] and [rename] of a
-   non-atomic writer would leave. [load] must reject it and fall back. *)
-let write_torn ~path ~keep_bytes sections =
-  let data = encode sections in
-  let keep = min keep_bytes (String.length data - 1) in
-  let keep = if keep < 0 then 0 else keep in
+   exact on-disk state a kill -9 mid-write of a non-atomic writer would
+   leave. [load] must reject it and fall back. *)
+let write_torn ~path ~keep_bytes parts =
+  let data = render parts in
+  let keep = max 0 (min keep_bytes (String.length data - 1)) in
   rotate path;
-  write_raw path (String.sub data 0 keep)
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_substring oc data 0 keep)
 
 let read_file path =
   if not (Sys.file_exists path) then Error (path ^ ": no such file")
-  else begin
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let data = really_input_string ic len in
-    close_in ic;
-    Ok data
-  end
+  else Ok (In_channel.with_open_bin path In_channel.input_all)
 
 type generation = Primary | Previous
 

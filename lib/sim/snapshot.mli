@@ -15,12 +15,13 @@
 val version : int
 (** Format version stamped into (and required of) every file. *)
 
-val crc32 : string -> int
-(** IEEE CRC32 of a string (also used by tests to corrupt files precisely). *)
-
-(** Field writer: append-only buffer of primitive encodings. *)
+(** Field writer: a growable byte buffer plus a fill length. {!write}
+    reuses one writer, storage and all, for every section of a save. *)
 module W : sig
   type t
+
+  type bigarray =
+    (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
   val create : unit -> t
   val contents : t -> string
@@ -37,6 +38,19 @@ module W : sig
   val bool : t -> bool -> unit
   val float : t -> float -> unit
   val string : t -> string -> unit
+
+  val bytes : t -> bytes -> unit
+  (** Same encoding as {!string}, copied once from the bytes. *)
+
+  val bigarray : t -> bigarray -> pos:int -> len:int -> unit
+  (** Same encoding as {!string} of the [len] bytes at [pos], copied
+      once (memcpy) from the Bigarray.
+      @raise Invalid_argument when the range falls outside it. *)
+
+  val nested : t -> (t -> unit) -> unit
+  (** [nested w f] writes what [f] writes, length-prefixed: the same
+      bytes as {!string} of that output, without a separate buffer. *)
+
   val list : t -> (t -> 'a -> unit) -> 'a list -> unit
   val array : t -> (t -> 'a -> unit) -> 'a array -> unit
   val option : t -> (t -> 'a -> unit) -> 'a option -> unit
@@ -59,6 +73,10 @@ module R : sig
   val bool : t -> bool
   val float : t -> float
   val string : t -> string
+
+  val bytes : t -> bytes
+  (** Same encoding as {!string}, into fresh bytes with a single copy. *)
+
   val list : t -> (t -> 'a) -> 'a list
   val array : t -> (t -> 'a) -> 'a array
   val option : t -> (t -> 'a) -> 'a option
@@ -67,7 +85,8 @@ end
 type section = { name : string; body : string }
 
 val encode : section list -> string
-(** Serialize sections into one framed, checksummed byte string. *)
+(** Serialize sections into one framed, checksummed byte string: the
+    bytes {!write} streams to disk. *)
 
 val decode : string -> (section list, string) result
 (** Parse and verify a framed byte string; [Error] describes the first
@@ -81,12 +100,17 @@ type generation = Primary | Previous
 val previous_generation : string -> string
 (** The on-disk name of the displaced previous snapshot ([path ^ ".1"]). *)
 
-val write : path:string -> section list -> unit
-(** Atomically replace the snapshot at [path]: write to a temp file,
-    rotate any existing [path] to [path ^ ".1"], then rename into place.
-    At most two generations are kept. *)
+val write : path:string -> (string * (W.t -> unit)) list -> unit
+(** Atomically replace the snapshot at [path] with one section per
+    [(name, producer)], in order. Each producer writes its section body
+    into one reused {!W.t}; the body is checksummed in place and streamed
+    to [path ^ ".tmp"], which is then renamed into place after any
+    existing [path] is rotated to [path ^ ".1"]. At most two generations
+    are kept. If a producer or the output raises, the temp file is
+    removed and both generations are left untouched. *)
 
-val write_torn : path:string -> keep_bytes:int -> section list -> unit
+val write_torn :
+  path:string -> keep_bytes:int -> (string * (W.t -> unit)) list -> unit
 (** Chaos hook: leave [path] deliberately torn (first [keep_bytes] bytes
     only) after rotating the previous generation, reproducing the on-disk
     state of a process killed mid-checkpoint by a non-atomic writer.

@@ -29,7 +29,7 @@ let inv name =
   | Error e -> Alcotest.fail e
 
 (* Grouped rule line: one line configures both audit rules (and pins the
-   comma-separated grammar lint.rules itself now uses). *)
+   comma-separated grammar lint.rules documents). *)
 let both_config = Lint_core.parse_rules "D007,D008 scope=audit_fixtures\n"
 let d007_config = Lint_core.parse_rules "D007 scope=audit_fixtures\n"
 

@@ -306,31 +306,84 @@ let test_encoded_size_all_constructors () =
     (Message.make ~src:1 ~dst:Types.Bus ~corr:7 ~deadline_ns:123_456_789L
        Message.Heartbeat)
 
-(* --- CRC-32 stub --------------------------------------------------------- *)
+(* --- CRC-32 stub ---------------------------------------------------------- *)
+
+module Crc32 = Lastcpu_sim.Crc32
+
+(* The table-driven OCaml loop the slice-by-8 stub replaced: the oracle
+   the stub is pinned against. *)
+let crc32_reference s =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let c = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch -> c := table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
+    s;
+  !c lxor 0xFFFFFFFF land 0xFFFFFFFF
 
 (* The C stub must be bit-identical to the original OCaml loop: WAL
-   records and NAND page checksums feed golden digests, so a divergence
-   would corrupt every pinned experiment. Lengths probe the slice-by-8
-   boundary (0..32) plus a full NAND page. *)
+   records, NAND page checksums and snapshot frames feed golden digests
+   and pinned files, so a divergence would corrupt every pinned
+   experiment. Lengths probe the slice-by-8 boundary (0..32) plus a full
+   NAND page. *)
 let test_crc32_stub_matches_reference () =
   let check s =
     Alcotest.(check int)
       (Printf.sprintf "crc32 of %d bytes" (String.length s))
-      (Wire.crc32_reference s) (Wire.crc32 s)
+      (crc32_reference s) (Crc32.string s)
   in
   check "";
   Alcotest.(check int) "IEEE 802.3 check value" 0xCBF43926
-    (Wire.crc32 "123456789");
+    (Crc32.string "123456789");
   for len = 0 to 32 do
     check (String.init len (fun i -> Char.chr ((i * 37) land 0xff)))
   done;
   check (String.init 4096 (fun i -> Char.chr ((i * 131) land 0xff)));
   let s = "hello, world" in
-  Alcotest.(check int) "crc32_sub window" (Wire.crc32 (String.sub s 3 5))
-    (Wire.crc32_sub s 3 5);
-  Alcotest.check_raises "crc32_sub bounds"
-    (Invalid_argument "Wire.crc32_sub") (fun () ->
-      ignore (Wire.crc32_sub s 8 10))
+  Alcotest.(check int) "update window" (Crc32.string (String.sub s 3 5))
+    (Crc32.update 0 s 3 5);
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "update bounds (%d, %d)" pos len)
+        (Invalid_argument "Crc32.update") (fun () ->
+          ignore (Crc32.update 0 s pos len)))
+    [ (8, 10); (-1, 2); (2, -1); (13, 0) ];
+  Alcotest.check_raises "combine length" (Invalid_argument "Crc32.combine")
+    (fun () -> ignore (Crc32.combine 0 0 (-1)))
+
+(* The running form: checksumming a string in pieces, split at any two
+   offsets (empty pieces included), gives the one-shot CRC — and so does
+   combining the pieces' own CRCs. *)
+let crc32_split_prop =
+  QCheck.Test.make ~count:200
+    ~name:"update and combine over any split equal one-shot"
+    QCheck.(string_of_size (Gen.int_range 0 64))
+    (fun s ->
+      let n = String.length s in
+      let whole = Crc32.string s in
+      let ok = ref true in
+      for i = 0 to n do
+        for j = i to n do
+          let c = Crc32.update 0 s 0 i in
+          let c = Crc32.update c s i (j - i) in
+          let c = Crc32.update c s j (n - j) in
+          let piece pos len = Crc32.update 0 s pos len in
+          let combined =
+            Crc32.combine
+              (Crc32.combine (piece 0 i) (piece i (j - i)) (j - i))
+              (piece j (n - j)) (n - j)
+          in
+          if c <> whole || combined <> whole then ok := false
+        done
+      done;
+      !ok)
 
 let () =
   Alcotest.run "proto"
@@ -367,5 +420,6 @@ let () =
         [
           Alcotest.test_case "stub matches reference" `Quick
             test_crc32_stub_matches_reference;
+          QCheck_alcotest.to_alcotest crc32_split_prop;
         ] );
     ]

@@ -106,12 +106,33 @@ let test_truncation_rejected () =
     | Ok _ -> Alcotest.fail (Printf.sprintf "accepted %d-byte prefix" keep)
   done
 
+(* A length field near max_int must read as a torn file, not overflow
+   the bounds check and escape as an exception. *)
+let test_oversized_lengths_rejected () =
+  let file ~name_len ~body_len =
+    let w = Snapshot.W.create () in
+    String.iter (fun c -> Snapshot.W.u8 w (Char.code c)) "LCSN";
+    Snapshot.W.u32 w Snapshot.version;
+    Snapshot.W.u8 w (Char.code 'S');
+    Snapshot.W.varint w name_len;
+    Snapshot.W.u8 w (Char.code 'a');
+    Snapshot.W.varint w body_len;
+    Snapshot.W.u32 w 0;
+    Snapshot.W.contents w
+  in
+  List.iter
+    (fun (what, name_len, body_len) ->
+      match Snapshot.decode (file ~name_len ~body_len) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s accepted" what)
+    [ ("huge name", max_int, 1); ("huge body", 1, max_int) ]
+
 let test_generations_and_fallback () =
   let path = temp_snapshot () in
   Fun.protect
     ~finally:(fun () -> cleanup path)
     (fun () ->
-      let gen n = [ { Snapshot.name = "n"; body = string_of_int n } ] in
+      let gen n = [ ("n", fun w -> Snapshot.W.u8 w (Char.code '0' + n)) ] in
       Snapshot.write ~path (gen 1);
       (match Snapshot.load ~path with
       | Ok (Snapshot.Primary, s) ->
@@ -144,7 +165,7 @@ let test_generations_and_fallback () =
 
 let test_hook_registry () =
   let engine = Engine.create () in
-  let noop_save () = "" in
+  let noop_save _ = () in
   let noop_restore _ = () in
   Engine.register_snapshot engine ~name:"b" ~save:noop_save
     ~restore:noop_restore;
@@ -162,9 +183,9 @@ let test_save_requires_quiescence () =
   Engine.schedule engine ~delay:10L (fun () -> ());
   Alcotest.check_raises "volatile event queued"
     (Invalid_argument "Engine.save_state: queue has volatile events")
-    (fun () -> ignore (Engine.save_state engine));
+    (fun () -> Engine.save_state engine (Snapshot.W.create ()));
   Engine.run_until_quiescent engine;
-  ignore (Engine.save_state engine)
+  Engine.save_state engine (Snapshot.W.create ())
 
 (* --- WAL watermark: no double-apply after restore (satellite) ----------- *)
 
@@ -400,11 +421,60 @@ let test_checkpoint_mismatches () =
       (* A topology with an extra hook the snapshot has no section for. *)
       let extra = Engine.create () in
       Engine.register_snapshot extra ~name:"late-subsystem"
-        ~save:(fun () -> "")
+        ~save:(fun _ -> ())
         ~restore:(fun _ -> ());
       match Checkpoint.restore ~path ~tag:"exp-a" (Checkpoint.Single extra) with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "hook without a section accepted")
+
+(* --- failed saves leave the disk as it was ------------------------------ *)
+
+let read_all path = In_channel.with_open_bin path In_channel.input_all
+
+(* Two good generations on disk, then a save that fails: the primary and
+   [.1] must be byte-identical to before and no [.tmp] may be left. *)
+let check_failed_save_leaves_disk path ~what save =
+  let engine = Engine.create () in
+  Checkpoint.save ~path ~tag:"gen-1" (Checkpoint.Single engine);
+  Checkpoint.save ~path ~tag:"gen-2" (Checkpoint.Single engine);
+  let primary = read_all path
+  and previous = read_all (Snapshot.previous_generation path) in
+  (match save () with
+  | () -> Alcotest.failf "%s: save succeeded" what
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check string) (what ^ ": primary untouched") primary
+    (read_all path);
+  Alcotest.(check string) (what ^ ": previous untouched") previous
+    (read_all (Snapshot.previous_generation path));
+  Alcotest.(check bool) (what ^ ": no temp file") false
+    (Sys.file_exists (path ^ ".tmp"))
+
+let test_raising_hook_leaves_generations () =
+  let path = temp_snapshot () in
+  Fun.protect
+    ~finally:(fun () -> cleanup path)
+    (fun () ->
+      check_failed_save_leaves_disk path ~what:"raising hook" (fun () ->
+          let engine = Engine.create () in
+          (* Enough bytes before the refusal that the temp file is past the
+             channel buffer when the hook raises. *)
+          Engine.register_snapshot engine ~name:"bulk"
+            ~save:(fun w -> Snapshot.W.string w (String.make 200_000 'x'))
+            ~restore:(fun _ -> ());
+          Engine.register_snapshot engine ~name:"refuses"
+            ~save:(fun _ -> invalid_arg "refusing to checkpoint")
+            ~restore:(fun _ -> ());
+          Checkpoint.save ~path ~tag:"gen-3" (Checkpoint.Single engine)))
+
+let test_non_quiescent_save_refused () =
+  let path = temp_snapshot () in
+  Fun.protect
+    ~finally:(fun () -> cleanup path)
+    (fun () ->
+      check_failed_save_leaves_disk path ~what:"volatile event" (fun () ->
+          let engine = Engine.create () in
+          Engine.schedule engine ~delay:10L (fun () -> ());
+          Checkpoint.save ~path ~tag:"gen-3" (Checkpoint.Single engine)))
 
 (* --- whole-machine round trip -------------------------------------------- *)
 
@@ -615,6 +685,31 @@ let test_resume_fails_loudly () =
       | _ -> Alcotest.fail "kill behind the restored boundary accepted"
       | exception Invalid_argument _ -> ())
 
+(* --- on-disk format pin ------------------------------------------------- *)
+
+(* The bytes [lastcpu experiment t16 --snapshot-path P] leaves behind are
+   part of the format: a resume reads files written by earlier builds.
+   Every complete file hashes to the same CRC residue, so the pin is on
+   the length and the stored trailer (the CRC of everything before it). *)
+let test_t16_files_pinned () =
+  let path = temp_snapshot () in
+  Fun.protect
+    ~finally:(fun () -> cleanup path)
+    (fun () ->
+      ignore (Experiments.run_soak ~seed:42L ~snapshot_path:path (soak "t16"));
+      let pin p ~bytes ~trailer =
+        let data = read_all p in
+        let n = String.length data in
+        Alcotest.(check int) (p ^ " length") bytes n;
+        Alcotest.(check int) (p ^ " trailer") trailer
+          (Int32.to_int (String.get_int32_le data (n - 4)) land 0xFFFF_FFFF);
+        Alcotest.(check int) (p ^ " trailer is the CRC of the rest") trailer
+          (Lastcpu_sim.Crc32.update 0 data 0 (n - 4))
+      in
+      pin path ~bytes:12_617_019 ~trailer:0xfabc7039;
+      pin (Snapshot.previous_generation path) ~bytes:10_663_135
+        ~trailer:0xeab4f058)
+
 let () =
   Alcotest.run "snapshot"
     [
@@ -625,8 +720,11 @@ let () =
           Alcotest.test_case "bit flip rejected" `Quick test_bit_flip_rejected;
           Alcotest.test_case "truncation rejected" `Quick
             test_truncation_rejected;
+          Alcotest.test_case "oversized lengths rejected" `Quick
+            test_oversized_lengths_rejected;
           Alcotest.test_case "generations and fallback" `Quick
             test_generations_and_fallback;
+          Alcotest.test_case "t16 files pinned" `Slow test_t16_files_pinned;
         ] );
       ( "engine hooks",
         [
@@ -647,6 +745,10 @@ let () =
             test_crash_window_survives_restore;
           Alcotest.test_case "orchestrator mismatches" `Quick
             test_checkpoint_mismatches;
+          Alcotest.test_case "raising hook leaves both generations" `Quick
+            test_raising_hook_leaves_generations;
+          Alcotest.test_case "non-quiescent save refused" `Quick
+            test_non_quiescent_save_refused;
         ] );
       ( "whole machine",
         [
