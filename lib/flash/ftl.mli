@@ -28,10 +28,13 @@ val logical_pages : t -> int
 val page_size : t -> int
 
 val read : t -> lpn:int -> (string, string) result
-(** Unwritten logical pages read as zeroes. *)
+(** The programmed NAND page itself, shared, not copied (see {!Nand}'s
+    ownership rule). Unwritten logical pages read as zeroes. *)
 
 val write : t -> lpn:int -> string -> (unit, string) result
-(** Out-of-place write; triggers GC when free blocks run low. *)
+(** Out-of-place write; triggers GC when free blocks run low. A
+    full-page [data] is handed to NAND by reference, so the caller must
+    not mutate it afterwards; GC relocates pages by reference too. *)
 
 val trim : t -> lpn:int -> unit
 (** Drop the mapping (logical delete). *)

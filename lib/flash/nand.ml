@@ -8,7 +8,9 @@ let default_geometry = { blocks = 256; pages_per_block = 64; page_size = 4096 }
 type page_state = Erased | Programmed
 
 type block = {
-  pages : Bytes.t option array;  (* None = erased *)
+  pages : string option array;
+      (* None = erased. A programmed page is immutable until its block is
+         erased, so it is stored, read back and relocated by reference. *)
   crcs : int array;  (* CRC-32 of each programmed page (the on-die ECC);
                         -1 = not yet computed. The CRC is a pure function
                         of the immutable page bytes, so it is computed
@@ -61,15 +63,14 @@ let page_state t ~block ~page =
     match t.data.(block).pages.(page) with None -> Erased | Some _ -> Programmed)
 
 (* The stored checksum of a programmed page, computing and caching it on
-   first use. [b] must be the stored (unflipped) page bytes; they are
-   never mutated between program and erase, so the lazy value is
-   identical to what eager computation at program time would have
-   stored. *)
-let page_crc t ~block ~page b =
+   first use. [s] must be the stored (unflipped) page; it is immutable
+   between program and erase, so the lazy value is identical to what
+   eager computation at program time would have stored. *)
+let page_crc t ~block ~page s =
   let c = t.data.(block).crcs.(page) in
   if c >= 0 then c
   else begin
-    let c = Crc32.string (Bytes.unsafe_to_string b) in
+    let c = Crc32.string s in
     t.data.(block).crcs.(page) <- c;
     c
   end
@@ -81,11 +82,12 @@ let read_page t ~block ~page =
     t.read_count <- t.read_count + 1;
     (match t.data.(block).pages.(page) with
     | None -> Ok (String.make t.geo.page_size '\xff')
-    | Some b -> (
+    | Some s -> (
       (* Programmed pages can suffer injected transient read failures or
          bit flips; the per-page CRC (the ECC stand-in) catches flips, so
          both surface as an I/O error the caller can retry. Erased pages
-         are never faulted. *)
+         are never faulted. A flip lands in a private copy: the stored
+         page stays intact. *)
       match t.faults with
       | Some f when Faults.active f -> (
         let key =
@@ -94,18 +96,18 @@ let read_page t ~block ~page =
         if Faults.nand_read_fails f ~key then Error "transient read failure"
         else
           match Faults.nand_bit_flip f ~key ~len:t.geo.page_size with
-          | None -> Ok (Bytes.to_string b)
+          | None -> Ok s
           | Some bit ->
-            let flipped = Bytes.copy b in
+            let flipped = Bytes.of_string s in
             let i = bit / 8 in
             Bytes.set flipped i
               (Char.chr
                  (Char.code (Bytes.get flipped i) lxor (1 lsl (bit mod 8))));
-            let s = Bytes.to_string flipped in
-            if Crc32.string s <> page_crc t ~block ~page b then
+            let flipped = Bytes.unsafe_to_string flipped in
+            if Crc32.string flipped <> page_crc t ~block ~page s then
               Error "uncorrectable bit error (ECC)"
-            else Ok s)
-      | Some _ | None -> Ok (Bytes.to_string b)))
+            else Ok flipped)
+      | Some _ | None -> Ok s))
 
 let program_page t ~block ~page data =
   match check t ~block ~page with
@@ -117,15 +119,15 @@ let program_page t ~block ~page data =
       | Some _ -> Error "page not erased"
       | None ->
         t.program_count <- t.program_count + 1;
-        let b =
-          if String.length data = t.geo.page_size then Bytes.of_string data
+        let s =
+          if String.length data = t.geo.page_size then data
           else begin
             let b = Bytes.make t.geo.page_size '\xff' in
             Bytes.blit_string data 0 b 0 (String.length data);
-            b
+            Bytes.unsafe_to_string b
           end
         in
-        t.data.(block).pages.(page) <- Some b;
+        t.data.(block).pages.(page) <- Some s;
         t.data.(block).crcs.(page) <- -1;
         Ok ()
     end
@@ -168,9 +170,9 @@ let save w t =
       Array.iteri
         (fun i -> function
           | None -> ()
-          | Some b ->
+          | Some s ->
             Snapshot.W.varint w i;
-            Snapshot.W.bytes w b)
+            Snapshot.W.string w s)
         blk.pages)
     t.data;
   Snapshot.W.varint w t.read_count;
@@ -194,8 +196,8 @@ let restore r t =
       let n = Snapshot.R.varint r in
       for _ = 1 to n do
         let i = Snapshot.R.varint r in
-        let contents = Snapshot.R.bytes r in
-        if i < 0 || i >= pages_per_block || Bytes.length contents <> page_size
+        let contents = Snapshot.R.string r in
+        if i < 0 || i >= pages_per_block || String.length contents <> page_size
         then raise (Snapshot.R.Corrupt "nand page out of shape");
         blk.pages.(i) <- Some contents
       done)

@@ -3,7 +3,14 @@
     Geometry: [blocks] erase blocks of [pages_per_block] pages of
     [page_size] bytes. Semantics enforced: a page must be erased before it
     can be programmed, programming is page-at-once, erase is block-at-once,
-    and each block tracks its erase count (wear). *)
+    and each block tracks its erase count (wear).
+
+    Block ownership: a programmed page is immutable until its block is
+    erased. {!program_page} keeps a full-page string as the page itself
+    and {!read_page} hands the stored page back, neither copying; callers
+    share the string, which OCaml strings make safe as long as nobody
+    mutates one obtained via [Bytes.unsafe_to_string] after handing it
+    over. *)
 
 type t
 
@@ -27,11 +34,15 @@ type page_state = Erased | Programmed
 val page_state : t -> block:int -> page:int -> page_state
 
 val read_page : t -> block:int -> page:int -> (string, string) result
-(** Reading an erased page returns all-0xFF bytes (as real NAND does). *)
+(** The stored page itself, not a copy. Reading an erased page returns
+    all-0xFF bytes (as real NAND does). An injected bit flip is applied
+    to a private copy, never to the stored page. *)
 
 val program_page : t -> block:int -> page:int -> string -> (unit, string) result
-(** Fails if the page is not erased or data exceeds the page size (short
-    data is padded with 0xFF). *)
+(** Fails if the page is not erased or data exceeds the page size. A
+    full-page [data] becomes the page without a copy (the caller hands it
+    over and must not mutate it); short data is padded with 0xFF into a
+    fresh page. *)
 
 val erase_block : t -> block:int -> (unit, string) result
 val erase_count : t -> block:int -> int

@@ -52,8 +52,10 @@ type t = {
   root_ino : int;
   (* Device-DRAM block cache (write-through): models the on-device cache
      hierarchy of §2.3. Reads served from here cost no NAND operation;
-     every write still programs flash (durability preserved). *)
-  cache : (int, Bytes.t) Hashtbl.t option;
+     every write still programs flash (durability preserved). Cached
+     blocks are immutable strings, usually the very NAND page. *)
+  cache : (int, string) Hashtbl.t option;
+  zero_block : string;  (* what [alloc_block] and [format] write *)
   m_block_reads : Metrics.counter;
   m_block_writes : Metrics.counter;
   m_cache_hits : Metrics.counter;
@@ -69,87 +71,83 @@ type inode = {
   mutable indirect : int;  (* block holding u32 block numbers, 0 = none *)
 }
 
-(* Low-level block IO ----------------------------------------------------- *)
+(* Low-level block IO -----------------------------------------------------
 
-let read_block t b =
+   Ownership rule: a cached block is immutable, and so is a programmed
+   NAND page. Readers borrow a block ([peek_block]); a read-modify-write
+   takes one private copy ([read_block]) and hands it back with
+   [write_block], after which the writer never touches it again. The same
+   string then sits in the cache and on NAND, so a block costs at most
+   one 4 KiB copy between the cache and flash. *)
+
+let peek_block t b =
   Metrics.incr t.m_block_reads;
-  let from_flash () =
-    match Ftl.read t.ftl ~lpn:b with
-    | Ok s -> Ok (Bytes.of_string s)
-    | Error e -> Error (Io e)
-  in
+  let from_flash () = Result.map_error (fun e -> Io e) (Ftl.read t.ftl ~lpn:b) in
   match t.cache with
   | None -> from_flash ()
   | Some cache -> (
     match Hashtbl.find_opt cache b with
     | Some cached ->
       Metrics.incr t.m_cache_hits;
-      Ok (Bytes.copy cached)
+      Ok cached
     | None -> (
       match from_flash () with
       | Ok data ->
-        Hashtbl.replace cache b (Bytes.copy data);
+        Hashtbl.replace cache b data;
         Ok data
       | Error _ as e -> e))
 
-let write_block t b data =
+let ( let* ) = Result.bind
+
+(* A private, mutable copy of block [b] (the one copy of a
+   read-modify-write). *)
+let read_block t b =
+  let* s = peek_block t b in
+  Ok (Bytes.of_string s)
+
+(* Program [data] as block [b] and cache the same string. *)
+let store_block t b data =
   Metrics.incr t.m_block_writes;
-  match Ftl.write t.ftl ~lpn:b (Bytes.to_string data) with
+  match Ftl.write t.ftl ~lpn:b data with
   | Ok () ->
-    (match t.cache with
-    | None -> ()
-    | Some cache -> Hashtbl.replace cache b (Bytes.copy data));
+    (match t.cache with None -> () | Some cache -> Hashtbl.replace cache b data);
     Ok ()
   | Error e -> Error (Io e)
 
-let ( let* ) = Result.bind
+(* Hand [data] over: the caller owns it and must not mutate it again. *)
+let write_block t b data = store_block t b (Bytes.unsafe_to_string data)
 
-(* u32 little-endian in a bytes buffer *)
-let get_u32 b off =
-  Char.code (Bytes.get b off)
-  lor (Char.code (Bytes.get b (off + 1)) lsl 8)
-  lor (Char.code (Bytes.get b (off + 2)) lsl 16)
-  lor (Char.code (Bytes.get b (off + 3)) lsl 24)
+(* u32/u16 little-endian: read from a borrowed block, written into an
+   owned one. *)
+let get_u32 s off = Int32.to_int (String.get_int32_le s off) land 0xffff_ffff
+let set_u32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
 
-let set_u32 b off v =
-  Bytes.set b off (Char.chr (v land 0xff));
-  Bytes.set b (off + 1) (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set b (off + 2) (Char.chr ((v lsr 16) land 0xff));
-  Bytes.set b (off + 3) (Char.chr ((v lsr 24) land 0xff))
+(* Inode (de)serialisation, in place at [off] within an inode-table
+   block ------------------------------------------------------------------ *)
 
-let get_u16 b off =
-  Char.code (Bytes.get b off) lor (Char.code (Bytes.get b (off + 1)) lsl 8)
-
-let set_u16 b off v =
-  Bytes.set b off (Char.chr (v land 0xff));
-  Bytes.set b (off + 1) (Char.chr ((v lsr 8) land 0xff))
-
-(* Inode (de)serialisation ------------------------------------------------ *)
-
-let inode_to_bytes ino =
-  let b = Bytes.make inode_size '\000' in
-  Bytes.set b 0 (if ino.used then '\001' else '\000');
-  Bytes.set b 1 (match ino.kind with Regular -> '\000' | Directory -> '\001');
-  set_u32 b 2 ino.size;
-  set_u16 b 6 ino.mode;
+let encode_inode b off ino =
+  Bytes.fill b off inode_size '\000';
+  Bytes.set b off (if ino.used then '\001' else '\000');
+  Bytes.set b (off + 1) (match ino.kind with Regular -> '\000' | Directory -> '\001');
+  set_u32 b (off + 2) ino.size;
+  Bytes.set_uint16_le b (off + 6) ino.mode;
   let olen = min owner_max (String.length ino.owner) in
-  Bytes.set b 8 (Char.chr olen);
-  Bytes.blit_string ino.owner 0 b 9 olen;
+  Bytes.set b (off + 8) (Char.chr olen);
+  Bytes.blit_string ino.owner 0 b (off + 9) olen;
   for i = 0 to ndirect - 1 do
-    set_u32 b (48 + (4 * i)) ino.direct.(i)
+    set_u32 b (off + 48 + (4 * i)) ino.direct.(i)
   done;
-  set_u32 b (48 + (4 * ndirect)) ino.indirect;
-  b
+  set_u32 b (off + 48 + (4 * ndirect)) ino.indirect
 
-let inode_of_bytes b =
-  let used = Bytes.get b 0 = '\001' in
-  let kind = if Bytes.get b 1 = '\001' then Directory else Regular in
-  let size = get_u32 b 2 in
-  let mode = get_u16 b 6 in
-  let olen = Char.code (Bytes.get b 8) in
-  let owner = Bytes.sub_string b 9 olen in
-  let direct = Array.init ndirect (fun i -> get_u32 b (48 + (4 * i))) in
-  let indirect = get_u32 b (48 + (4 * ndirect)) in
+let decode_inode s off =
+  let used = s.[off] = '\001' in
+  let kind = if s.[off + 1] = '\001' then Directory else Regular in
+  let size = get_u32 s (off + 2) in
+  let mode = String.get_uint16_le s (off + 6) in
+  let olen = Char.code s.[off + 8] in
+  let owner = String.sub s (off + 9) olen in
+  let direct = Array.init ndirect (fun i -> get_u32 s (off + 48 + (4 * i))) in
+  let indirect = get_u32 s (off + 48 + (4 * ndirect)) in
   { used; kind; size; mode; owner; direct; indirect }
 
 let inodes_per_block t = t.block_size / inode_size
@@ -159,15 +157,15 @@ let read_inode t ino =
   else begin
     let blk = t.itable_start + (ino / inodes_per_block t) in
     let off = ino mod inodes_per_block t * inode_size in
-    let* b = read_block t blk in
-    Ok (inode_of_bytes (Bytes.sub b off inode_size))
+    let* s = peek_block t blk in
+    Ok (decode_inode s off)
   end
 
 let write_inode t ino node =
   let blk = t.itable_start + (ino / inodes_per_block t) in
   let off = ino mod inodes_per_block t * inode_size in
   let* b = read_block t blk in
-  Bytes.blit (inode_to_bytes node) 0 b off inode_size;
+  encode_inode b off node;
   write_block t blk b
 
 let alloc_inode t =
@@ -181,7 +179,7 @@ let alloc_inode t =
 
 (* Block bitmap ----------------------------------------------------------- *)
 
-let bit_get b i = Char.code (Bytes.get b (i / 8)) land (1 lsl (i mod 8)) <> 0
+let bit_get s i = Char.code s.[i / 8] land (1 lsl (i mod 8)) <> 0
 
 let bit_set b i v =
   let cur = Char.code (Bytes.get b (i / 8)) in
@@ -195,20 +193,21 @@ let alloc_block t =
   let rec scan_block bi =
     if bi >= t.bitmap_blocks then Error No_space
     else begin
-      let* b = read_block t (t.bitmap_start + bi) in
+      let* s = peek_block t (t.bitmap_start + bi) in
       let base = bi * bits_per_block t in
       let rec scan_bit i =
         if i >= bits_per_block t then scan_block (bi + 1)
         else begin
           let blk = base + i in
           if blk >= t.total_blocks then Error No_space
-          else if blk >= t.data_start && not (bit_get b i) then begin
+          else if blk >= t.data_start && not (bit_get s i) then begin
+            let b = Bytes.of_string s in
             bit_set b i true;
             let* () = write_block t (t.bitmap_start + bi) b in
             (* Zero the block so stale contents never leak between files —
                the isolation property §2.1 demands of a multi-client
                device. *)
-            let* () = write_block t blk (Bytes.make t.block_size '\000') in
+            let* () = store_block t blk t.zero_block in
             Ok blk
           end
           else scan_bit (i + 1)
@@ -225,9 +224,10 @@ let free_block t blk =
   else begin
     let bi = blk / bits_per_block t in
     let i = blk mod bits_per_block t in
-    let* b = read_block t (t.bitmap_start + bi) in
-    if not (bit_get b i) then Error (Invalid "double free of block")
+    let* s = peek_block t (t.bitmap_start + bi) in
+    if not (bit_get s i) then Error (Invalid "double free of block")
     else begin
+      let b = Bytes.of_string s in
       bit_set b i false;
       let* () = write_block t (t.bitmap_start + bi) b in
       Ftl.trim t.ftl ~lpn:blk;
@@ -239,7 +239,7 @@ let count_free_blocks t =
   let count = ref 0 in
   (try
      for bi = 0 to t.bitmap_blocks - 1 do
-       match read_block t (t.bitmap_start + bi) with
+       match peek_block t (t.bitmap_start + bi) with
        | Error _ -> raise Exit
        | Ok b ->
          let base = bi * bits_per_block t in
@@ -282,12 +282,13 @@ let bmap t node n ~grow =
     in
     if ind_blk = 0 then Ok 0
     else begin
-      let* ind = read_block t ind_blk in
-      let cur = get_u32 ind (4 * idx) in
+      let* s = peek_block t ind_blk in
+      let cur = get_u32 s (4 * idx) in
       if cur <> 0 then Ok cur
       else if not grow then Ok 0
       else begin
         let* blk = alloc_block t in
+        let ind = Bytes.of_string s in
         set_u32 ind (4 * idx) blk;
         let* () = write_block t ind_blk ind in
         Ok blk
@@ -315,8 +316,8 @@ let read_inode_data t node ~off ~len =
           go (pos + chunk)
         end
         else
-          let* b = read_block t blk in
-          Bytes.blit b boff out pos chunk;
+          let* s = peek_block t blk in
+          Bytes.blit_string s boff out pos chunk;
           go (pos + chunk)
       end
     in
@@ -488,6 +489,11 @@ let can node ~user ~want =
 let require node ~user ~want path =
   if can node ~user ~want then Ok () else Error (Permission path)
 
+(* The parent a path resolved to must be a directory: a regular file's
+   bytes are not directory entries. *)
+let require_dir node path =
+  if node.kind = Directory then Ok () else Error (Not_a_directory path)
+
 (* Superblock ------------------------------------------------------------- *)
 
 let write_superblock t =
@@ -523,6 +529,7 @@ let layout ?(cache = true) ?metrics ?(actor = "fs") ftl =
     ninodes = itable_blocks * (block_size / inode_size);
     root_ino = 0;
     cache = (if cache then Some (Hashtbl.create 1024) else None);
+    zero_block = String.make block_size '\000';
     m_block_reads = Metrics.counter m ~actor ~name:"block_reads";
     m_block_writes = Metrics.counter m ~actor ~name:"block_writes";
     m_cache_hits = Metrics.counter m ~actor ~name:"cache_hits";
@@ -560,8 +567,7 @@ let format ?cache ?metrics ?actor ftl =
         | Ok () ->
           if i >= t.itable_blocks then Ok ()
           else
-            zero (i + 1)
-              (write_block t (t.itable_start + i) (Bytes.make t.block_size '\000'))
+            zero (i + 1) (store_block t (t.itable_start + i) t.zero_block)
       in
       zero 0 (Ok ())
     in
@@ -583,10 +589,10 @@ let format ?cache ?metrics ?actor ftl =
 
 let mount ?cache ?metrics ?actor ftl =
   let t = layout ?cache ?metrics ?actor ftl in
-  let* b = read_block t 0 in
-  if not (String.equal (Bytes.sub_string b 0 (String.length magic)) magic) then
+  let* s = peek_block t 0 in
+  if not (String.starts_with ~prefix:magic s) then
     Error (Invalid "bad superblock magic")
-  else if get_u32 b 8 <> t.total_blocks then
+  else if get_u32 s 8 <> t.total_blocks then
     Error (Invalid "superblock geometry mismatch")
   else Ok t
 
@@ -595,27 +601,26 @@ let mount ?cache ?metrics ?actor ftl =
 let create_node t ~user ~mode ~kind path =
   let* dir_ino, name = parent_of t path in
   let* dir = read_inode t dir_ino in
-  if dir.kind <> Directory then Error (Not_a_directory path)
-  else
-    let* () = require dir ~user ~want:0o2 path in
-    let* entries = read_dir_entries t dir in
-    if List.mem_assoc name entries then Error (Exists path)
-    else begin
-      let* ino = alloc_inode t in
-      let node =
-        {
-          used = true;
-          kind;
-          size = 0;
-          mode;
-          owner = user;
-          direct = Array.make ndirect 0;
-          indirect = 0;
-        }
-      in
-      let* () = write_inode t ino node in
-      write_dir_entries t dir_ino dir (entries @ [ (name, ino) ])
-    end
+  let* () = require_dir dir path in
+  let* () = require dir ~user ~want:0o2 path in
+  let* entries = read_dir_entries t dir in
+  if List.mem_assoc name entries then Error (Exists path)
+  else begin
+    let* ino = alloc_inode t in
+    let node =
+      {
+        used = true;
+        kind;
+        size = 0;
+        mode;
+        owner = user;
+        direct = Array.make ndirect 0;
+        indirect = 0;
+      }
+    in
+    let* () = write_inode t ino node in
+    write_dir_entries t dir_ino dir (entries @ [ (name, ino) ])
+  end
 
 let create t ~user ?(mode = 0o644) path = create_node t ~user ~mode ~kind:Regular path
 let mkdir t ~user ?(mode = 0o755) path = create_node t ~user ~mode ~kind:Directory path
@@ -636,7 +641,7 @@ let free_file_blocks t node =
   let* () = free_direct 0 (Ok ()) in
   if node.indirect = 0 then Ok ()
   else begin
-    let* ind = read_block t node.indirect in
+    let* ind = peek_block t node.indirect in
     let rec free_ind i res =
       match res with
       | Error _ as e -> e
@@ -657,6 +662,7 @@ let free_file_blocks t node =
 let unlink t ~user path =
   let* dir_ino, name = parent_of t path in
   let* dir = read_inode t dir_ino in
+  let* () = require_dir dir path in
   let* () = require dir ~user ~want:0o2 path in
   let* entries = read_dir_entries t dir in
   match List.assoc_opt name entries with
@@ -731,9 +737,34 @@ let truncate t ~user path ~len =
       else begin
         let keep_blocks = (len + t.block_size - 1) / t.block_size in
         let* () = free_blocks_beyond t node ~keep_blocks in
+        (* Zero the cut-off tail of the last kept block: bytes past [size]
+           must read as zero if the file grows again (the invariant
+           [alloc_block] sets up for fresh blocks). *)
+        let tail = len mod t.block_size in
+        let* () =
+          if tail = 0 then Ok ()
+          else
+            let* blk = bmap t node (len / t.block_size) ~grow:false in
+            if blk = 0 then Ok ()
+            else
+              let* b = read_block t blk in
+              Bytes.fill b tail (t.block_size - tail) '\000';
+              write_block t blk b
+        in
         node.size <- len;
         write_inode t ino node
       end
+
+(* [new_path] lies strictly below [old_path]. *)
+let inside ~old_path new_path =
+  let rec below = function
+    | [], _ :: _ -> true
+    | o :: os, n :: ns -> String.equal o n && below (os, ns)
+    | _ -> false
+  in
+  match (split_path old_path, split_path new_path) with
+  | Some o, Some n -> below (o, n)
+  | _ -> false
 
 let rename t ~user old_path new_path =
   if String.equal old_path new_path then Ok ()
@@ -741,12 +772,24 @@ let rename t ~user old_path new_path =
     let* old_dir_ino, old_name = parent_of t old_path in
     let* new_dir_ino, new_name = parent_of t new_path in
     let* old_dir = read_inode t old_dir_ino in
+    let* () = require_dir old_dir old_path in
     let* () = require old_dir ~user ~want:0o2 old_path in
     let* old_entries = read_dir_entries t old_dir in
     match List.assoc_opt old_name old_entries with
     | None -> Error (Not_found_e old_path)
     | Some ino ->
+      (* The path test comes first so that an ordinary rename reads no
+         extra inode (block reads are counted). *)
+      let* () =
+        if not (inside ~old_path new_path) then Ok ()
+        else
+          let* src = read_inode t ino in
+          if src.kind = Directory then
+            Error (Invalid "cannot move a directory into itself")
+          else Ok ()
+      in
       let* new_dir = read_inode t new_dir_ino in
+      let* () = require_dir new_dir new_path in
       let* () = require new_dir ~user ~want:0o2 new_path in
       let* new_entries = read_dir_entries t new_dir in
       (* POSIX: silently replace an existing regular file at the target. *)
@@ -836,7 +879,7 @@ let fsck t =
     Array.iter note_block node.direct;
     if node.indirect <> 0 then begin
       note_block node.indirect;
-      match read_block t node.indirect with
+      match peek_block t node.indirect with
       | Error _ -> ()
       | Ok ind ->
         for i = 0 to ptrs_per_block t - 1 do
@@ -875,7 +918,7 @@ let fsck t =
       | Ok () ->
         if bi >= t.bitmap_blocks then Ok ()
         else
-          let* b = read_block t (t.bitmap_start + bi) in
+          let* b = peek_block t (t.bitmap_start + bi) in
           let base = bi * bits_per_block t in
           for i = 0 to bits_per_block t - 1 do
             let blk = base + i in
@@ -941,7 +984,7 @@ let save w t =
       Snapshot.W.list w
         (fun w (b, data) ->
           Snapshot.W.varint w b;
-          Snapshot.W.bytes w data)
+          Snapshot.W.string w data)
         (Detmap.bindings cache))
     t.cache
 
@@ -953,8 +996,8 @@ let restore r t =
     let n = Snapshot.R.varint r in
     for _ = 1 to n do
       let b = Snapshot.R.varint r in
-      let data = Snapshot.R.bytes r in
-      if Bytes.length data <> t.block_size then
+      let data = Snapshot.R.string r in
+      if String.length data <> t.block_size then
         raise (Snapshot.R.Corrupt "fs cache block has wrong size");
       Hashtbl.replace cache b data
     done

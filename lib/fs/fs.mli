@@ -8,7 +8,15 @@
 
     Paths are absolute, '/'-separated. The FS is single-threaded (the SSD's
     embedded monitor serialises operations — §2.1 "software techniques such
-    as time sharing"). *)
+    as time sharing").
+
+    Block ownership: cached blocks and programmed NAND pages are immutable
+    strings. Read-only paths (lookups, inode decodes, bitmap scans,
+    {!read}, {!fsck}, {!mount}) borrow the cached block without copying;
+    a read-modify-write takes one private copy and hands it back, and the
+    same string then serves as the cache entry and the NAND page. Every
+    block read, write and cache hit is counted exactly as if each access
+    copied. *)
 
 type t
 
@@ -73,11 +81,15 @@ val write : t -> user:string -> string -> off:int -> string -> (unit, error) res
 
 val file_size : t -> string -> (int, error) result
 val truncate : t -> user:string -> string -> len:int -> (unit, error) result
+(** Shrinking zeroes the cut-off tail of the last kept block, so growing
+    the file again (by [truncate] or a write past EOF) reads zeroes. *)
+
 val rename : t -> user:string -> string -> string -> (unit, error) result
 (** [rename t ~user old_path new_path]: POSIX semantics — if [new_path]
     exists and is a regular file it is atomically replaced (its blocks
-    freed); renaming onto an existing directory or across a missing parent
-    fails. Needs write permission on both parent directories. *)
+    freed); renaming onto an existing directory, across a missing or
+    non-directory parent, or a directory into its own subtree fails. Needs
+    write permission on both parent directories. *)
 
 val chmod : t -> user:string -> string -> mode:int -> (unit, error) result
 val chown : t -> user:string -> string -> owner:string -> (unit, error) result

@@ -155,6 +155,60 @@ module Sizer = struct
   let size t = t.n
 end
 
+(* Cursor writing into a caller-sized [Bytes.t] from [pos] on: a frame
+   sized with [Sizer] is encoded in one allocation, payload strings
+   blitted straight in. Overflow raises [Malformed], like [View_writer]. *)
+module Bytes_writer = struct
+  type t = { data : Bytes.t; mutable pos : int }
+
+  let create ?(pos = 0) data = { data; pos }
+
+  let ensure t n =
+    if t.pos + n > Bytes.length t.data then raise (Malformed "bytes overflow")
+
+  let byte t b =
+    ensure t 1;
+    Bytes.unsafe_set t.data t.pos (Char.unsafe_chr (b land 0xff));
+    t.pos <- t.pos + 1
+
+  let varint t v =
+    assert (v >= 0);
+    let rec go v =
+      if v < 0x80 then byte t v
+      else begin
+        byte t (v land 0x7f lor 0x80);
+        go (v lsr 7)
+      end
+    in
+    go v
+
+  let int64 t v =
+    ensure t 8;
+    Bytes.set_int64_le t.data t.pos v;
+    t.pos <- t.pos + 8
+
+  let string t s =
+    let n = String.length s in
+    varint t n;
+    ensure t n;
+    Bytes.blit_string s 0 t.data t.pos n;
+    t.pos <- t.pos + n
+
+  let bool t b = byte t (if b then 1 else 0)
+
+  let list t f xs =
+    varint t (List.length xs);
+    List.iter (f t) xs
+
+  let option t f = function
+    | None -> bool t false
+    | Some x ->
+      bool t true;
+      f t x
+
+  let pos t = t.pos
+end
+
 (* Cursor writing into a caller-provided slice (a DRAM view, a virtqueue
    slot): the encoded bytes land directly in backing memory, no
    intermediate string. Running off the end of the slice raises

@@ -7,7 +7,7 @@
 exception Malformed of string
 
 (** The shared shape of the write targets ({!Writer}, {!View_writer},
-    {!Sizer}): a codec functorized over [SINK] defines its byte layout
+    {!Bytes_writer}, {!Sizer}): a codec functorized over [SINK] defines its byte layout
     once and gets the copying, zero-copy and sizing encoders for free. *)
 module type SINK = sig
   type t
@@ -81,6 +81,25 @@ module Sizer : sig
   val list : t -> (t -> 'a -> unit) -> 'a list -> unit
   val option : t -> (t -> 'a -> unit) -> 'a option -> unit
   val size : t -> int
+end
+
+(** Cursor writing into a caller-sized [Bytes.t], starting at [pos]: size a
+    frame with {!Sizer}, allocate once, encode in place. Overflowing the
+    buffer raises [Malformed]. *)
+module Bytes_writer : sig
+  type t
+
+  val create : ?pos:int -> Bytes.t -> t
+  val byte : t -> int -> unit
+  val varint : t -> int -> unit
+  val int64 : t -> int64 -> unit
+  val string : t -> string -> unit
+  val bool : t -> bool -> unit
+  val list : t -> (t -> 'a -> unit) -> 'a list -> unit
+  val option : t -> (t -> 'a -> unit) -> 'a option -> unit
+
+  val pos : t -> int
+  (** Next write offset. *)
 end
 
 (** Cursor writing into a caller-provided slice (a DRAM view, a virtqueue

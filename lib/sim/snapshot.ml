@@ -96,8 +96,6 @@ module W = struct
     varint w (String.length s);
     raw w s
 
-  let bytes w b = string w (Bytes.unsafe_to_string b)
-
   let bigarray w ba ~pos ~len =
     if pos < 0 || len < 0 || pos > Bigarray.Array1.dim ba - len then
       invalid_arg "Snapshot.W.bigarray";
@@ -187,8 +185,6 @@ module R = struct
     let s = String.sub r.buf r.pos len in
     r.pos <- r.pos + len;
     s
-
-  let bytes r = Bytes.unsafe_of_string (string r)
 
   let list r f =
     let n = varint r in

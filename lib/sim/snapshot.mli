@@ -39,9 +39,6 @@ module W : sig
   val float : t -> float -> unit
   val string : t -> string -> unit
 
-  val bytes : t -> bytes -> unit
-  (** Same encoding as {!string}, copied once from the bytes. *)
-
   val bigarray : t -> bigarray -> pos:int -> len:int -> unit
   (** Same encoding as {!string} of the [len] bytes at [pos], copied
       once (memcpy) from the Bigarray.
@@ -73,9 +70,6 @@ module R : sig
   val bool : t -> bool
   val float : t -> float
   val string : t -> string
-
-  val bytes : t -> bytes
-  (** Same encoding as {!string}, into fresh bytes with a single copy. *)
 
   val list : t -> (t -> 'a) -> 'a list
   val array : t -> (t -> 'a) -> 'a array

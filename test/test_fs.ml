@@ -115,6 +115,35 @@ let test_truncate () =
   Alcotest.(check string) "zeros" (String.make 50 '\000')
     (ok (Fs.read fs ~user:"alice" "/f" ~off:0 ~len:50))
 
+(* A shrinking truncate must zero the cut-off tail of the last kept
+   block: growing the file again (by truncate or by a write past EOF)
+   exposes those bytes, and they must read as zeroes, not stale data. *)
+let test_truncate_zeroes_tail cache () =
+  let fs, _ = mkfs ~cache () in
+  ok (Fs.create fs ~user:"u" "/f");
+  ok (Fs.write fs ~user:"u" "/f" ~off:0 "abcdefgh");
+  ok (Fs.truncate fs ~user:"u" "/f" ~len:2);
+  ok (Fs.truncate fs ~user:"u" "/f" ~len:8);
+  Alcotest.(check string) "regrown by truncate" "ab\000\000\000\000\000\000"
+    (ok (Fs.read fs ~user:"u" "/f" ~off:0 ~len:8));
+  ok (Fs.create fs ~user:"u" "/g");
+  ok (Fs.write fs ~user:"u" "/g" ~off:0 "abcdefgh");
+  ok (Fs.truncate fs ~user:"u" "/g" ~len:2);
+  ok (Fs.write fs ~user:"u" "/g" ~off:6 "XY");
+  Alcotest.(check string) "regrown by a write past EOF" "ab\000\000\000\000XY"
+    (ok (Fs.read fs ~user:"u" "/g" ~off:0 ~len:8));
+  (* The same through the indirect block: cut mid-block past the direct
+     pointers, then regrow. *)
+  let big = String.make 60_000 'z' in
+  ok (Fs.create fs ~user:"u" "/h");
+  ok (Fs.write fs ~user:"u" "/h" ~off:0 big);
+  ok (Fs.truncate fs ~user:"u" "/h" ~len:50_000);
+  ok (Fs.truncate fs ~user:"u" "/h" ~len:60_000);
+  Alcotest.(check string) "indirect tail zeroed"
+    (String.sub big 0 50_000 ^ String.make 10_000 '\000')
+    (ok (Fs.read fs ~user:"u" "/h" ~off:0 ~len:60_000));
+  ignore (check_clean "after truncates" fs)
+
 let test_exists_and_duplicate () =
   let fs, _ = mkfs () in
   ok (Fs.create fs ~user:"alice" "/f");
@@ -168,6 +197,31 @@ let test_rename_errors () =
   ok (Fs.mkdir fs ~user:"alice" ~mode:0o755 "/hers");
   ok (Fs.create fs ~user:"alice" "/hers/doc");
   expect_err "no write perm on parent" (Fs.rename fs ~user:"bob" "/hers/doc" "/stolen")
+
+(* Only a directory can be moved into its own subtree, and that is refused
+   as [Invalid]; a file or a missing source keeps its own error. *)
+let test_rename_into_subtree () =
+  let fs, _ = mkfs () in
+  ok (Fs.create fs ~user:"u" "/f");
+  ok (Fs.mkdir fs ~user:"u" "/d");
+  ok (Fs.mkdir fs ~user:"u" "/d/e");
+  let expect name want got =
+    let kind = function
+      | Ok () -> "ok"
+      | Error (Fs.Invalid _) -> "invalid"
+      | Error (Fs.Not_a_directory _) -> "not a directory"
+      | Error (Fs.Not_found_e _) -> "not found"
+      | Error e -> Fs.error_to_string e
+    in
+    Alcotest.(check string) name want (kind got)
+  in
+  expect "dir into itself" "invalid" (Fs.rename fs ~user:"u" "/d" "/d/x");
+  expect "dir into a subdir" "invalid" (Fs.rename fs ~user:"u" "/d" "/d/e/x");
+  expect "file under itself" "not a directory" (Fs.rename fs ~user:"u" "/f" "/f/x");
+  expect "missing source" "not found" (Fs.rename fs ~user:"u" "/d/ghost" "/d/ghost/x");
+  expect "prefix sibling is not inside" "ok" (Fs.rename fs ~user:"u" "/d" "/dd");
+  Alcotest.(check bool) "moved with its child" true (Fs.exists fs "/dd/e");
+  ignore (check_clean "after subtree renames" fs)
 
 (* --- permissions -------------------------------------------------------------- *)
 
@@ -295,6 +349,244 @@ let fs_model_prop =
             | Error _ -> false))
         writes)
 
+(* --- model-based property ----------------------------------------------------
+
+   Random operation sequences run against the file system and against a
+   pure reference: a map from path to [Dir] or [File contents]. Every
+   operation must succeed exactly when the reference says it should, every
+   read must return the reference's bytes, fsck must be clean at the end,
+   and a checkpoint of the whole stack (NAND, FTL, FS cache) restored into
+   fresh instances must read back the same files. Blocks are shared
+   between the FS cache and NAND, so a block mutated after it was handed
+   to the FTL corrupts both copies at once: only a reference model sees
+   it. *)
+
+module Model = Map.Make (String)
+
+type node = Dir | File of string
+
+(* Offsets and lengths relative to the file's current size (at EOF,
+   inside, past EOF) or near the first indirect block, resolved against
+   the model when the operation runs. *)
+type pos = At_eof | Inside of int | Past of int | Near_indirect of int
+
+type op =
+  | Mkdir of string
+  | Create of string
+  | Write of string * pos * int * int  (* path, offset, length, fill seed *)
+  | Truncate of string * pos
+  | Read of string * pos * int
+  | Unlink of string
+  | Rename of string * string
+
+let pp_pos = function
+  | At_eof -> "eof"
+  | Inside k -> Printf.sprintf "in%d" k
+  | Past k -> Printf.sprintf "past%d" k
+  | Near_indirect k -> Printf.sprintf "ind%d" k
+
+let pp_op = function
+  | Mkdir p -> "mkdir " ^ p
+  | Create p -> "create " ^ p
+  | Write (p, o, n, c) -> Printf.sprintf "write %s @%s %dB #%d" p (pp_pos o) n c
+  | Truncate (p, o) -> Printf.sprintf "truncate %s %s" p (pp_pos o)
+  | Read (p, o, n) -> Printf.sprintf "read %s @%s %dB" p (pp_pos o) n
+  | Unlink p -> "unlink " ^ p
+  | Rename (a, b) -> Printf.sprintf "rename %s %s" a b
+
+let gen_path =
+  QCheck.Gen.(
+    map
+      (fun cs -> "/" ^ String.concat "/" cs)
+      (list_size (int_range 1 3) (oneofl [ "a"; "b"; "f" ])))
+
+let gen_pos =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, return At_eof);
+        (3, map (fun k -> Inside k) (int_bound 100_000));
+        (2, map (fun k -> Past k) (int_bound 6000));
+        (1, map (fun k -> Near_indirect k) (int_bound 8192));
+      ])
+
+let gen_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, map (fun p -> Mkdir p) gen_path);
+        (3, map (fun p -> Create p) gen_path);
+        ( 5,
+          map
+            (fun (p, o, n, c) -> Write (p, o, n, c))
+            (quad gen_path gen_pos (int_range 1 9000) (int_bound 250)) );
+        (2, map2 (fun p o -> Truncate (p, o)) gen_path gen_pos);
+        (3, map3 (fun p o n -> Read (p, o, n)) gen_path gen_pos (int_bound 9000));
+        (1, map (fun p -> Unlink p) gen_path);
+        (2, map2 (fun a b -> Rename (a, b)) gen_path gen_path);
+      ])
+
+let parent p = match String.rindex_opt p '/' with Some 0 | None -> "/" | Some i -> String.sub p 0 i
+
+let is_dir m p = String.equal p "/" || Model.find_opt p m = Some Dir
+
+let file_size m p =
+  match Model.find_opt p m with Some (File s) -> String.length s | _ -> 0
+
+let resolve m p = function
+  | At_eof -> file_size m p
+  | Inside k -> if file_size m p = 0 then 0 else k mod file_size m p
+  | Past k -> file_size m p + k
+  | Near_indirect k -> (12 * 4096) - 4096 + k
+
+let under ~dir p = String.starts_with ~prefix:(dir ^ "/") p
+
+let children m dir =
+  Model.fold (fun p _ acc -> if String.equal (parent p) dir then p :: acc else acc) m []
+
+let fill n seed = String.init n (fun i -> Char.chr (1 + ((seed + (i * 7)) mod 251)))
+
+(* Apply [op] to the model: [None] when the file system must refuse it,
+   [Some m'] otherwise. *)
+let step m = function
+  | Mkdir p | Create p when Model.mem p m || not (is_dir m (parent p)) -> None
+  | Mkdir p -> Some (Model.add p Dir m)
+  | Create p -> Some (Model.add p (File "") m)
+  | Write (p, o, n, c) -> (
+    match Model.find_opt p m with
+    | Some (File s) ->
+      let off = resolve m p o in
+      let len = max (String.length s) (off + n) in
+      let b = Bytes.make len '\000' in
+      Bytes.blit_string s 0 b 0 (String.length s);
+      Bytes.blit_string (fill n c) 0 b off n;
+      Some (Model.add p (File (Bytes.to_string b)) m)
+    | _ -> None)
+  | Truncate (p, o) -> (
+    match Model.find_opt p m with
+    | Some (File s) ->
+      let len = resolve m p o in
+      let s' =
+        if len <= String.length s then String.sub s 0 len
+        else s ^ String.make (len - String.length s) '\000'
+      in
+      Some (Model.add p (File s') m)
+    | _ -> None)
+  | Read (p, _, _) -> (
+    match Model.find_opt p m with Some (File _) -> Some m | _ -> None)
+  | Unlink p -> (
+    match Model.find_opt p m with
+    | Some (File _) -> Some (Model.remove p m)
+    | Some Dir when children m p = [] -> Some (Model.remove p m)
+    | Some Dir | None -> None)
+  | Rename (a, b) when String.equal a b -> Some m
+  | Rename (a, b) when under ~dir:a b -> None
+  | Rename (a, b) -> (
+    match (Model.find_opt a m, Model.find_opt b m) with
+    | None, _ | _, Some Dir -> None
+    | Some _, _ when not (is_dir m (parent b)) -> None
+    | Some node, _ ->
+      let m = Model.remove a (Model.remove b m) in
+      let m = Model.add b node m in
+      if node <> Dir then Some m
+      else
+        Some
+          (Model.fold
+             (fun p v acc ->
+               if under ~dir:a p then
+                 let rest = String.sub p (String.length a) (String.length p - String.length a) in
+                 Model.add (b ^ rest) v (Model.remove p acc)
+               else acc)
+             m m))
+
+let run_fs fs m = function
+  | Mkdir p -> Result.map (fun () -> None) (Fs.mkdir fs ~user:"u" p)
+  | Create p -> Result.map (fun () -> None) (Fs.create fs ~user:"u" p)
+  | Write (p, o, n, c) ->
+    Result.map (fun () -> None) (Fs.write fs ~user:"u" p ~off:(resolve m p o) (fill n c))
+  | Truncate (p, o) -> Result.map (fun () -> None) (Fs.truncate fs ~user:"u" p ~len:(resolve m p o))
+  | Read (p, o, n) -> Result.map Option.some (Fs.read fs ~user:"u" p ~off:(resolve m p o) ~len:n)
+  | Unlink p -> Result.map (fun () -> None) (Fs.unlink fs ~user:"u" p)
+  | Rename (a, b) -> Result.map (fun () -> None) (Fs.rename fs ~user:"u" a b)
+
+let expected_read m = function
+  | Read (p, o, n) ->
+    let s = match Model.find_opt p m with Some (File s) -> s | _ -> "" in
+    let off = resolve m p o in
+    let len = max 0 (min n (String.length s - off)) in
+    if len = 0 then "" else String.sub s off len
+  | _ -> ""
+
+(* Every file reads back whole and every directory lists the model's
+   children. *)
+let matches_model fs m =
+  Model.for_all
+    (fun p node ->
+      match node with
+      | File s -> Fs.read fs ~user:"u" p ~off:0 ~len:(String.length s + 1) = Ok s
+      | Dir -> (
+        match Fs.readdir fs ~user:"u" p with
+        | Ok names ->
+          List.sort compare names
+          = List.sort compare
+              (List.map (fun c -> Filename.basename c) (children m p))
+        | Error _ -> false))
+    m
+
+let geometry = { Nand.blocks = 64; pages_per_block = 16; page_size = 4096 }
+
+(* Checkpoint NAND, FTL and the FS cache the way the smart SSD does, and
+   restore them into a fresh stack. *)
+let reload ~cache fs ftl =
+  let w = Lastcpu_sim.Snapshot.W.create () in
+  Nand.save w (Ftl.nand ftl);
+  Ftl.save w ftl;
+  Fs.save w fs;
+  let r = Lastcpu_sim.Snapshot.R.of_string (Lastcpu_sim.Snapshot.W.contents w) in
+  let nand = Nand.create ~geometry () in
+  let ftl = Ftl.create ~nand () in
+  Nand.restore r nand;
+  Ftl.restore r ftl;
+  let fs = ok (Fs.mount ~cache ftl) in
+  Fs.restore r fs;
+  fs
+
+let fs_reference_prop ~cache =
+  QCheck.Test.make ~count:60
+    ~name:(Printf.sprintf "fs matches a reference model (cache=%b)" cache)
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_op ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 40) gen_op))
+    (fun ops ->
+      let nand = Nand.create ~geometry () in
+      let ftl = Ftl.create ~nand () in
+      let fs = ok (Fs.format ~cache ftl) in
+      let final =
+        List.fold_left
+          (fun m op ->
+            match (step m op, run_fs fs m op) with
+            | None, Error _ -> m
+            | Some m', Ok got ->
+              (match got with
+              | Some data when not (String.equal data (expected_read m op)) ->
+                QCheck.Test.fail_reportf "%s read %S" (pp_op op) data
+              | _ -> ());
+              m'
+            | None, Ok _ -> QCheck.Test.fail_reportf "%s: expected an error" (pp_op op)
+            | Some _, Error e ->
+              QCheck.Test.fail_reportf "%s: %s" (pp_op op) (Fs.error_to_string e))
+          Model.empty ops
+      in
+      let clean =
+        match Fs.fsck fs with
+        | Ok r ->
+          r.Fs.leaked_blocks = 0 && r.Fs.shared_blocks = 0
+          && r.Fs.unmarked_blocks = 0 && r.Fs.orphan_inodes = 0
+        | Error _ -> false
+      in
+      clean && matches_model fs final && matches_model (reload ~cache fs ftl) final)
+
 let () =
   Alcotest.run "fs"
     [
@@ -307,11 +599,16 @@ let () =
           Alcotest.test_case "directories" `Quick test_directories;
           Alcotest.test_case "unlink frees space" `Quick test_unlink_frees_space;
           Alcotest.test_case "truncate" `Quick test_truncate;
+          Alcotest.test_case "truncate zeroes the tail (cache)" `Quick
+            (test_truncate_zeroes_tail true);
+          Alcotest.test_case "truncate zeroes the tail (no cache)" `Quick
+            (test_truncate_zeroes_tail false);
           Alcotest.test_case "duplicates and bad paths" `Quick test_exists_and_duplicate;
           Alcotest.test_case "rename same dir" `Quick test_rename_same_dir;
           Alcotest.test_case "rename across dirs" `Quick test_rename_across_dirs;
           Alcotest.test_case "rename replaces target" `Quick test_rename_replaces_target;
           Alcotest.test_case "rename errors" `Quick test_rename_errors;
+          Alcotest.test_case "rename into own subtree" `Quick test_rename_into_subtree;
         ] );
       ( "permissions",
         [
@@ -327,5 +624,7 @@ let () =
           Alcotest.test_case "fsck after torture" `Quick test_fsck_clean_after_torture;
           Alcotest.test_case "fsck usage accounting" `Quick test_fsck_counts_usage;
           QCheck_alcotest.to_alcotest fs_model_prop;
+          QCheck_alcotest.to_alcotest (fs_reference_prop ~cache:true);
+          QCheck_alcotest.to_alcotest (fs_reference_prop ~cache:false);
         ] );
     ]

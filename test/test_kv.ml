@@ -90,6 +90,59 @@ let test_wal_accepts_legacy_records () =
   Alcotest.(check int) "torn legacy" 0 (List.length decoded);
   Alcotest.(check int) "at start" 0 stop
 
+
+(* [Wal.encode] sizes the frame and fills one buffer; its bytes must be
+   exactly the framing built the straightforward way: the body through a
+   growable [Wire.Writer], then [u32 (len | 0x80000000) | u32 crc | body].
+   Records decoded from the reference framing, with or without the CRC
+   word, must come back unchanged. *)
+let reference_body r =
+  let w = Lastcpu_proto.Wire.Writer.create () in
+  (match r with
+  | Wal.Put { key; value } ->
+    Lastcpu_proto.Wire.Writer.byte w 0;
+    Lastcpu_proto.Wire.Writer.string w key;
+    Lastcpu_proto.Wire.Writer.string w value
+  | Wal.Del { key } ->
+    Lastcpu_proto.Wire.Writer.byte w 1;
+    Lastcpu_proto.Wire.Writer.string w key);
+  Lastcpu_proto.Wire.Writer.contents w
+
+let u32_le v =
+  String.init 4 (fun i -> Char.chr ((v lsr (8 * i)) land 0xff))
+
+let reference_encode r =
+  let body = reference_body r in
+  u32_le (String.length body lor 0x8000_0000)
+  ^ u32_le (Lastcpu_sim.Crc32.string body)
+  ^ body
+
+let test_wal_encode_pinned () =
+  let records =
+    [
+      Wal.Put { key = "k"; value = "v" };
+      Wal.Put { key = ""; value = "" };
+      Wal.Put { key = "user:42"; value = String.make 4096 'x' };
+      Wal.Put { key = String.make 200 'k'; value = String.init 127 Char.chr };
+      Wal.Put { key = "k"; value = String.make 16_384 '\xa5' };
+      Wal.Del { key = "" };
+      Wal.Del { key = "user:42" };
+      Wal.Del { key = String.make 128 'd' };
+    ]
+  in
+  List.iter
+    (fun r ->
+      let expect = reference_encode r in
+      Alcotest.(check string) "byte for byte" expect (Wal.encode r);
+      let legacy =
+        u32_le (String.length (reference_body r)) ^ reference_body r
+      in
+      let both = expect ^ legacy in
+      let decoded, stop = Wal.decode_all both in
+      Alcotest.(check int) "full parse" (String.length both) stop;
+      Alcotest.(check bool) "checksummed and legacy decode" true
+        (decoded = [ r; r ]))
+    records
 let wal_prop =
   QCheck.Test.make ~name:"wal roundtrip arbitrary records" ~count:200
     QCheck.(list (pair string (option string)))
@@ -531,6 +584,8 @@ let () =
             test_wal_crc_detects_bit_rot;
           Alcotest.test_case "legacy records" `Quick
             test_wal_accepts_legacy_records;
+          Alcotest.test_case "encode pinned to reference framing" `Quick
+            test_wal_encode_pinned;
           QCheck_alcotest.to_alcotest wal_prop;
         ] );
       ( "store",

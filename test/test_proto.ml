@@ -55,6 +55,36 @@ let test_wire_list_option () =
   Alcotest.(check (option string)) "some" (Some "x") (Wire.Reader.option r Wire.Reader.string);
   Alcotest.(check (option string)) "none" None (Wire.Reader.option r Wire.Reader.string)
 
+(* The same fields through [Writer] and, sized by [Sizer], through a
+   [Bytes_writer] at an offset: identical bytes, and one byte short
+   overflows. *)
+let test_bytes_writer_matches_writer () =
+  let big = String.init 5000 (fun i -> Char.chr (i land 0xff)) in
+  let emit (type w) (module W : Wire.SINK with type t = w) (w : w) =
+    W.byte w 7;
+    W.varint w 300;
+    W.int64 w (-2L);
+    W.string w big;
+    W.bool w true;
+    W.list w W.varint [ 1; 200_000 ];
+    W.option w W.string (Some "k")
+  in
+  let w = Wire.Writer.create () in
+  emit (module Wire.Writer) w;
+  let s = Wire.Sizer.create () in
+  emit (module Wire.Sizer) s;
+  let n = Wire.Sizer.size s in
+  Alcotest.(check int) "sizer" (Wire.Writer.length w) n;
+  let b = Bytes.make (3 + n) '\xff' in
+  let bw = Wire.Bytes_writer.create ~pos:3 b in
+  emit (module Wire.Bytes_writer) bw;
+  Alcotest.(check int) "pos" (3 + n) (Wire.Bytes_writer.pos bw);
+  Alcotest.(check string) "bytes" (Wire.Writer.contents w) (Bytes.sub_string b 3 n);
+  Alcotest.(check string) "prefix untouched" "\xff\xff\xff" (Bytes.sub_string b 0 3);
+  match emit (module Wire.Bytes_writer) (Wire.Bytes_writer.create (Bytes.create (n - 1))) with
+  | () -> Alcotest.fail "expected overflow"
+  | exception Wire.Malformed _ -> ()
+
 (* --- Types --------------------------------------------------------------- *)
 
 let test_perm_subsumes () =
@@ -393,6 +423,8 @@ let () =
           Alcotest.test_case "scalar roundtrips" `Quick test_wire_roundtrip_scalars;
           Alcotest.test_case "truncation raises" `Quick test_wire_truncation_raises;
           Alcotest.test_case "list/option" `Quick test_wire_list_option;
+          Alcotest.test_case "bytes writer matches writer" `Quick
+            test_bytes_writer_matches_writer;
         ] );
       ( "types",
         [
