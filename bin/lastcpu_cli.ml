@@ -65,7 +65,7 @@ let topology_cmd =
 (* --- figure2 --------------------------------------------------------------- *)
 
 let figure2 seed show_trace json_path =
-  match Scenario.run ~spec:(spec_of_seed seed) () with
+  match Scenario.run ~spec:{ (spec_of_seed seed) with trace = true } () with
   | Error e ->
     Printf.eprintf "scenario failed: %s\n" e;
     1
@@ -292,7 +292,7 @@ let drive_kvs seed n =
 let metrics seed n json exp =
   let system =
     match exp with
-    | Some exp -> Ok (Experiments.soaked_system ~exp ~seed)
+    | Some exp -> Ok (Experiments.soaked_system ~exp ~seed ())
     | None -> drive_kvs seed n
   in
   match system with

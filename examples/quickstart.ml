@@ -15,8 +15,9 @@ let () =
      (self-test + Device_alive), provisions /kv on the smart SSD, and
      launches the KVS application on the smart NIC. The application runs
      the seven-step Figure-2 sequence against the SSD, the memory
-     controller and the bus. *)
-  match Scenario.run () with
+     controller and the bus. The spec asks the engine to retain its trace,
+     which the step check reads. *)
+  match Scenario.run ~spec:{ System.default_spec with trace = true } () with
   | Error e ->
     prerr_endline ("bring-up failed: " ^ e);
     exit 1

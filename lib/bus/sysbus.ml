@@ -303,7 +303,7 @@ let rec arm_sweep t ~time =
                  > t.config.heartbeat_timeout_ns
             then begin
               Engine.trace_event t.engine ~actor:"bus" ~kind:"bus.liveness"
-                (Printf.sprintf "%s (dev%d) timed out" slot.name id);
+                (fun () -> Printf.sprintf "%s (dev%d) timed out" slot.name id);
               mark_failed ~disconnect:false t id
             end)
           t.devices;
@@ -327,8 +327,9 @@ let revoke t id =
   Hashtbl.replace t.epochs id (current_epoch t id + 1);
   bump_revocations t;
   trace t "bus.revoke"
-    (Printf.sprintf "dev%d (%s) capabilities revoked, epoch now %d" id
-       t.devices.(id).name (current_epoch t id));
+    (fun () ->
+      Printf.sprintf "dev%d (%s) capabilities revoked, epoch now %d" id
+        t.devices.(id).name (current_epoch t id));
   List.iter (fun f -> f ~device:id) t.revoke_hooks;
   let s = t.devices.(id) in
   List.iter (fun pasid -> Iommu.clear_pasid s.iommu ~pasid) (Iommu.pasids s.iommu)
@@ -339,8 +340,9 @@ let quarantine_device t id =
     s.trust <- Quarantined;
     bump_quarantines t;
     trace t "bus.quarantine"
-      (Printf.sprintf "dev%d (%s) quarantined, score=%d" id s.name
-         s.misbehavior);
+      (fun () ->
+        Printf.sprintf "dev%d (%s) quarantined, score=%d" id s.name
+          s.misbehavior);
     revoke t id;
     (* Fence + tell consumers, exactly like a crash: the failure broadcast
        is the recovery signal the PR-2 failover path already understands. *)
@@ -360,7 +362,7 @@ let release_quarantine t id =
     s.last_priv_corr_count <- 0;
     s.connected <- true;
     trace t "bus.release-quarantine"
-      (Printf.sprintf "dev%d (%s) released on parole" id s.name);
+      (fun () -> Printf.sprintf "dev%d (%s) released on parole" id s.name);
     s.handler
       (Message.make ~src:bus_src ~dst:(Types.Device id) ~corr:0
          Message.Reset_device)
@@ -379,14 +381,16 @@ let report_misbehavior t ~src ~weight ~what =
         s.misbehavior <- s.misbehavior + weight;
         bump_misbehavior t;
         trace t "bus.misbehavior"
-          (Printf.sprintf "dev%d (%s): %s, score %d" src s.name what
-             s.misbehavior);
+          (fun () ->
+            Printf.sprintf "dev%d (%s): %s, score %d" src s.name what
+              s.misbehavior);
         if s.misbehavior >= qc.quarantine_score then quarantine_device t src
         else if s.misbehavior >= qc.suspect_score && s.trust = Trusted then begin
           s.trust <- Suspect;
           trace t "bus.suspect"
-            (Printf.sprintf "dev%d (%s) now suspect, score %d" src s.name
-               s.misbehavior)
+            (fun () ->
+              Printf.sprintf "dev%d (%s) now suspect, score %d" src s.name
+                s.misbehavior)
         end
       end
     end
@@ -600,7 +604,8 @@ let create ?(config = default_config) ?(shard = 0) engine =
           | Some id ->
             Faults.note_crash faults;
             Engine.trace_event engine ~actor:"bus" ~kind:"fault.crash"
-              (Printf.sprintf "%s (dev%d) crashed by fault plan" device id);
+              (fun () ->
+                Printf.sprintf "%s (dev%d) crashed by fault plan" device id);
             mark_failed t id);
       Engine.schedule_static_at engine ~time:(Int64.add at_ns down_ns)
         (fun () ->
@@ -610,13 +615,15 @@ let create ?(config = default_config) ?(shard = 0) engine =
             (* A fault-plan revive is a power cycle, not a pardon: the
                quarantine holds until an operator releases it. *)
             trace t "fault.revive"
-              (Printf.sprintf "%s (dev%d) still quarantined, revive ignored"
-                 device id)
+              (fun () ->
+                Printf.sprintf "%s (dev%d) still quarantined, revive ignored"
+                  device id)
           | Some id ->
             let s = t.devices.(id) in
             Faults.note_revive faults;
             Engine.trace_event engine ~actor:"bus" ~kind:"fault.revive"
-              (Printf.sprintf "%s (dev%d) revived by fault plan" device id);
+              (fun () ->
+                Printf.sprintf "%s (dev%d) revived by fault plan" device id);
             s.connected <- true;
             (* Out-of-band reset line: poke the handler directly (the slot
                is not yet live, so a bus message could not reach it) so the
@@ -833,7 +840,7 @@ let handle_map_directive t ~src ~corr ~device ~pasid ~va ~pa ~bytes ~perm
   let fail reason =
     Metrics.incr t.m_token_failures;
     score_bad_token t ~src ~what:("map denied: " ^ reason);
-    trace t "bus.map-denied" reason;
+    trace t "bus.map-denied" (fun () -> reason);
     reply t ~to_:src ~corr
       (Message.Error_msg { code = Types.E_bad_token; detail = reason })
   in
@@ -850,7 +857,8 @@ let handle_map_directive t ~src ~corr ~device ~pasid ~va ~pa ~bytes ~perm
       t.config.enable_tokens && not (Types.perm_subsumes auth.perm perm)
     then fail "permissions exceed token grant"
     else if not (known_device t device) then begin
-      trace t "bus.map-denied" (Printf.sprintf "no such device %d" device);
+      trace t "bus.map-denied" (fun () ->
+          Printf.sprintf "no such device %d" device);
       reply t ~to_:src ~corr
         (Message.Error_msg
            {
@@ -862,7 +870,7 @@ let handle_map_directive t ~src ~corr ~device ~pasid ~va ~pa ~bytes ~perm
       let target = slot t device in
       match Iommu.map target.iommu ~pasid ~va ~pa ~bytes ~perm with
       | Error reason ->
-        trace t "bus.map-failed" reason;
+        trace t "bus.map-failed" (fun () -> reason);
         reply t ~to_:src ~corr
           (Message.Error_msg { code = Types.E_bad_address; detail = reason });
         reply t ~to_:device ~corr (Message.Map_complete { pasid; va; ok = false })
@@ -870,8 +878,9 @@ let handle_map_directive t ~src ~corr ~device ~pasid ~va ~pa ~bytes ~perm
         let pages = Lastcpu_mem.Layout.pages_of_bytes bytes in
         Metrics.incr ~by:pages t.m_maps;
         trace t "bus.map"
-          (Printf.sprintf "dev%d pasid=%d va=0x%Lx pa=0x%Lx pages=%d" device
-             pasid va pa pages);
+          (fun () ->
+            Printf.sprintf "dev%d pasid=%d va=0x%Lx pa=0x%Lx pages=%d" device
+              pasid va pa pages);
         reply t ~to_:device ~corr (Message.Map_complete { pasid; va; ok = true });
         if src <> device then
           reply t ~to_:src ~corr (Message.Map_complete { pasid; va; ok = true })
@@ -883,7 +892,7 @@ let handle_grant t ~src ~corr ~to_device ~pasid ~va ~bytes ~perm
     Metrics.incr t.m_token_failures;
     (if code = Types.E_bad_token then
        score_bad_token t ~src ~what:("grant denied: " ^ reason));
-    trace t "bus.grant-denied" reason;
+    trace t "bus.grant-denied" (fun () -> reason);
     reply t ~to_:src ~corr (Message.Error_msg { code; detail = reason })
   in
   match verify_token t ~src ~expect_wielder:`Subject auth with
@@ -907,8 +916,9 @@ let handle_grant t ~src ~corr ~to_device ~pasid ~va ~bytes ~perm
         if i = npages then begin
           Metrics.incr ~by:npages t.m_maps;
           trace t "bus.grant"
-            (Printf.sprintf "dev%d -> dev%d pasid=%d va=0x%Lx pages=%d" src
-               to_device pasid va npages);
+            (fun () ->
+              Printf.sprintf "dev%d -> dev%d pasid=%d va=0x%Lx pages=%d" src
+                to_device pasid va npages);
           reply t ~to_:src ~corr (Message.Map_complete { pasid; va; ok = true })
         end
         else begin
@@ -952,8 +962,9 @@ let handle_unmap t ~src ~corr ~device ~pasid ~va ~bytes ~(auth : Token.t) =
       t.devices;
     Metrics.incr ~by:!removed t.m_unmaps;
     trace t "bus.unmap"
-      (Printf.sprintf "pasid=%d va=0x%Lx pages=%d (all devices)" pasid va
-         !removed);
+      (fun () ->
+        Printf.sprintf "pasid=%d va=0x%Lx pages=%d (all devices)" pasid va
+          !removed);
     reply t ~to_:src ~corr (Message.Map_complete { pasid; va; ok = true })
 
 let handle_bus_message t (msg : Message.t) =
@@ -969,8 +980,9 @@ let handle_bus_message t (msg : Message.t) =
       s.services <- services;
       s.last_heartbeat <- Engine.now t.engine;
       trace t "bus.alive"
-        (Printf.sprintf "%s (dev%d) with %d services" s.name src
-           (List.length services))
+        (fun () ->
+          Printf.sprintf "%s (dev%d) with %d services" s.name src
+            (List.length services))
     end
   | Message.Heartbeat ->
     let s = slot t src in
@@ -986,7 +998,7 @@ let handle_bus_message t (msg : Message.t) =
     note_privileged_corr t ~src ~corr:msg.corr;
     handle_unmap t ~src ~corr:msg.corr ~device ~pasid ~va ~bytes ~auth
   | Message.Resource_failed { resource } ->
-    trace t "bus.resource-failed" resource;
+    trace t "bus.resource-failed" (fun () -> resource);
     broadcast_from_bus t (Message.Resource_failed { resource })
   | _ ->
     reply t ~to_:src ~corr:msg.corr
@@ -1029,12 +1041,14 @@ let schedule_delivery t (msg : Message.t) ~delay deliver =
     in
     if corrupted_and_caught then
       trace t "fault.corrupt"
-        (Printf.sprintf "frame to %s corrupted, CRC mismatch, dropped"
-           (Types.dest_to_string msg.dst))
+        (fun () ->
+          Printf.sprintf "frame to %s corrupted, CRC mismatch, dropped"
+            (Types.dest_to_string msg.dst))
     else if Faults.drop_message faults ~key then
       trace t "fault.msg-loss"
-        (Printf.sprintf "frame to %s lost"
-           (Types.dest_to_string msg.dst))
+        (fun () ->
+          Printf.sprintf "frame to %s lost"
+            (Types.dest_to_string msg.dst))
     else begin
       let delay = Int64.add delay (Faults.message_jitter faults ~key) in
       schedule_frame t msg ~delay deliver;
@@ -1056,8 +1070,9 @@ let deliver_unicast t (msg : Message.t) dst =
        rather than spend the target's cycles on it. *)
     bump_expired t;
     trace t "bus.expired"
-      (Printf.sprintf "%s to dev%d past deadline, shed"
-         (Message.payload_tag msg.payload) dst)
+      (fun () ->
+        Printf.sprintf "%s to dev%d past deadline, shed"
+          (Message.payload_tag msg.payload) dst)
   end
   else if not s.live then begin
     Metrics.incr t.m_undeliverable;
@@ -1084,19 +1099,17 @@ let send_routed t (msg : Message.t) =
   let costs = Engine.costs t.engine in
   let size = Message.wire_size msg in
   Metrics.incr ~by:size t.m_control_bytes;
-  (* Rendering a message is by far the most expensive thing on this path;
-     with tracing off the formatter must never run. *)
-  if Engine.tracing t.engine then
-    Engine.trace_event t.engine
-      ~actor:(if msg.src >= 0 then device_name t msg.src else "bus")
-      ~kind:("msg." ^ Message.payload_tag msg.payload)
-      (Format.asprintf "%a" Message.pp msg);
+  Engine.trace_event t.engine
+    ~actor:(if msg.src >= 0 then device_name t msg.src else "bus")
+    ~kind:(Message.trace_kind msg.payload)
+    (fun () -> Format.asprintf "%a" Message.pp msg);
   match msg.dst with
   | Types.Device dst when not (known_device t dst) ->
     Metrics.incr t.m_undeliverable;
     trace t "bus.undeliverable"
-      (Printf.sprintf "%s to unknown dev%d dropped"
-         (Message.payload_tag msg.payload) dst);
+      (fun () ->
+        Printf.sprintf "%s to unknown dev%d dropped"
+          (Message.payload_tag msg.payload) dst);
     if known_device t msg.src && (slot t msg.src).live then
       reply t ~to_:msg.src ~corr:msg.corr
         (Message.Error_msg
@@ -1118,8 +1131,9 @@ let send_routed t (msg : Message.t) =
     if Message.expired msg ~now then begin
       bump_expired t;
       trace t "bus.expired"
-        (Printf.sprintf "%s from dev%d past deadline on arrival, shed"
-           (Message.payload_tag msg.payload) msg.src)
+        (fun () ->
+          Printf.sprintf "%s from dev%d past deadline on arrival, shed"
+            (Message.payload_tag msg.payload) msg.src)
     end
     else begin
       let service =
@@ -1157,8 +1171,9 @@ let send_routed t (msg : Message.t) =
            sender can pace instead of hammering. *)
         let retry_after_ns = Station.drain_ns lane ~now in
         trace t "bus.busy"
-          (Printf.sprintf "%s from dev%d rejected, retry-after=%Ldns"
-             (Message.payload_tag msg.payload) msg.src retry_after_ns);
+          (fun () ->
+            Printf.sprintf "%s from dev%d rejected, retry-after=%Ldns"
+              (Message.payload_tag msg.payload) msg.src retry_after_ns);
         if msg.src >= 0 && (slot t msg.src).live then
           reply t ~to_:msg.src ~corr:msg.corr
             (Message.Error_msg
@@ -1182,8 +1197,9 @@ let send t (msg : Message.t) =
   if quarantined_src t msg.src then begin
     bump_fenced t;
     trace t "bus.fenced"
-      (Printf.sprintf "%s from quarantined dev%d dropped"
-         (Message.payload_tag msg.payload) msg.src)
+      (fun () ->
+        Printf.sprintf "%s from quarantined dev%d dropped"
+          (Message.payload_tag msg.payload) msg.src)
   end
   else send_routed t msg
 
@@ -1196,7 +1212,7 @@ let send_raw t ~src bytes =
   if quarantined_src t src then begin
     bump_fenced t;
     trace t "bus.fenced"
-      (Printf.sprintf "raw frame from quarantined dev%d dropped" src)
+      (fun () -> Printf.sprintf "raw frame from quarantined dev%d dropped" src)
   end
   else begin
     match Codec.decode_framed_result bytes with
@@ -1207,7 +1223,7 @@ let send_raw t ~src bytes =
       bump_malformed t;
       score_malformed t ~src ~what:("malformed frame: " ^ reason);
       trace t "bus.malformed"
-        (Printf.sprintf "frame from dev%d dropped: %s" src reason)
+        (fun () -> Printf.sprintf "frame from dev%d dropped: %s" src reason)
     | Ok msg ->
       if msg.src <> src then begin
         (match t.config.quarantine with
@@ -1216,7 +1232,7 @@ let send_raw t ~src bytes =
           report_misbehavior t ~src ~weight:qc.spoof_weight
             ~what:(Printf.sprintf "spoofed src %d" msg.src));
         trace t "bus.spoofed"
-          (Printf.sprintf "dev%d forged src %d, dropped" src msg.src)
+          (fun () -> Printf.sprintf "dev%d forged src %d, dropped" src msg.src)
       end
       else send t msg
   end
@@ -1226,12 +1242,12 @@ let notify t ~src ~dst ~queue =
   if quarantined_src t src then begin
     bump_fenced t;
     trace t "bus.fenced"
-      (Printf.sprintf "doorbell from quarantined dev%d dropped" src)
+      (fun () -> Printf.sprintf "doorbell from quarantined dev%d dropped" src)
   end
   else if not (known_device t dst) then begin
     Metrics.incr t.m_doorbells_dropped;
     trace t "bus.doorbell-dropped"
-      (Printf.sprintf "dev%d -> unknown dev%d queue=%d" src dst queue)
+      (fun () -> Printf.sprintf "dev%d -> unknown dev%d queue=%d" src dst queue)
   end
   else begin
   let costs = Engine.costs t.engine in
@@ -1251,7 +1267,9 @@ let notify t ~src ~dst ~queue =
        silence is visible in telemetry instead of a mystery hang. *)
     Metrics.incr t.m_doorbells_dropped;
     trace t "bus.doorbell-dropped"
-      (Printf.sprintf "dev%d -> dev%d queue=%d (target not live)" src dst queue)
+      (fun () ->
+        Printf.sprintf "dev%d -> dev%d queue=%d (target not live)" src dst
+          queue)
   end
   else begin
     let msg =
@@ -1266,13 +1284,14 @@ let notify t ~src ~dst ~queue =
 (* --- failure injection --------------------------------------------------- *)
 
 let fail_device t id =
-  trace t "bus.fail-device" (Printf.sprintf "dev%d (%s)" id (device_name t id));
+  trace t "bus.fail-device" (fun () ->
+      Printf.sprintf "dev%d (%s)" id (device_name t id));
   mark_failed t id
 
 let revive_device t id =
   let s = slot t id in
   s.connected <- true;
-  trace t "bus.revive" (Printf.sprintf "dev%d (%s)" id s.name)
+  trace t "bus.revive" (fun () -> Printf.sprintf "dev%d (%s)" id s.name)
 
 (* --- containment observability ------------------------------------------ *)
 

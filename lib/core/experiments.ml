@@ -121,7 +121,7 @@ let f1 () =
 (* --- F2: KVS initialization sequence ----------------------------------------- *)
 
 let f2 () =
-  match Scenario_kvs.run () with
+  match Scenario_kvs.run ~spec:{ System.default_spec with trace = true } () with
   | Error e -> invalid_arg ("f2: " ^ e)
   | Ok outcome ->
     let steps = Scenario_kvs.figure2_steps outcome in
@@ -175,9 +175,11 @@ let run_phases engine ~drain phases =
 
 let every op i = Some (op i)
 
-let t1_decentralized ?(tie = Engine.Fifo) ?(sanitize = false) ~seed
-    ~enable_tokens () =
-  let spec = { System.default_spec with enable_tokens; seed; tie; sanitize } in
+let t1_decentralized ?(tie = Engine.Fifo) ?(sanitize = false) ?(trace = false)
+    ~seed ~enable_tokens () =
+  let spec =
+    { System.default_spec with enable_tokens; seed; tie; sanitize; trace }
+  in
   let system = System.build ~spec () in
   (match System.boot system with
   | Ok () -> ()
@@ -1429,7 +1431,8 @@ let t13_make_op i =
 
 (* Returns the soaked system plus (stats, device retries, failovers,
    crashes injected). *)
-let t13_decentralized ?(tie = Engine.Fifo) ?(sanitize = false) ~seed () =
+let t13_decentralized ?(tie = Engine.Fifo) ?(sanitize = false)
+    ?(trace = false) ~seed () =
   let spec =
     {
       System.default_spec with
@@ -1438,6 +1441,7 @@ let t13_decentralized ?(tie = Engine.Fifo) ?(sanitize = false) ~seed () =
       fault_plan = t13_plan;
       tie;
       sanitize;
+      trace;
     }
   in
   let system = System.build ~spec () in
@@ -1774,8 +1778,8 @@ type t14_guard_counters = {
   g_kv_shed : int;
 }
 
-let t14_decentralized ?(tie = Engine.Fifo) ?(sanitize = false) ~seed ~guards ()
-    =
+let t14_decentralized ?(tie = Engine.Fifo) ?(sanitize = false)
+    ?(trace = false) ~seed ~guards () =
   let spec =
     {
       System.default_spec with
@@ -1784,6 +1788,7 @@ let t14_decentralized ?(tie = Engine.Fifo) ?(sanitize = false) ~seed ~guards ()
       device_queue_capacity = (if guards then Some 64 else None);
       tie;
       sanitize;
+      trace;
     }
   in
   let system = System.build ~spec () in
@@ -2830,7 +2835,12 @@ let t17 ?(seed = 42L) () =
 (* What an experiment runs besides its table. *)
 type run =
   | Table_only
-  | Pinned of (seed:int64 -> tie:Engine.tie_break -> sanitize:bool -> System.t)
+  | Pinned of
+      (seed:int64 ->
+      tie:Engine.tie_break ->
+      sanitize:bool ->
+      trace:bool ->
+      System.t)
       (* the CPU-less half alone, on one engine, run to completion: its
          registry digest and sanitizer journal are pinned *)
   | Pinned_soak of soak  (* a soak whose digest is pinned and sanitized *)
@@ -2856,9 +2866,10 @@ let registry =
       (fun ~lanes:_ ~seed -> t1 ~seed ())
       ~run:
         (Pinned
-           (fun ~seed ~tie ~sanitize ->
+           (fun ~seed ~tie ~sanitize ~trace ->
              fst
-               (t1_decentralized ~tie ~sanitize ~seed ~enable_tokens:true ())));
+               (t1_decentralized ~tie ~sanitize ~trace ~seed
+                  ~enable_tokens:true ())));
     entry "t1-notokens" (fun ~lanes:_ ~seed ->
         t1 ~enable_tokens:false ~seed ());
     entry "t2" (fixed t2);
@@ -2876,18 +2887,18 @@ let registry =
       (fun ~lanes:_ ~seed -> t13 ~seed ())
       ~run:
         (Pinned
-           (fun ~seed ~tie ~sanitize ->
+           (fun ~seed ~tie ~sanitize ~trace ->
              let system, _, _, _, _ =
-               t13_decentralized ~tie ~sanitize ~seed ()
+               t13_decentralized ~tie ~sanitize ~trace ~seed ()
              in
              system));
     entry "t14"
       (fun ~lanes:_ ~seed -> t14 ~seed ())
       ~run:
         (Pinned
-           (fun ~seed ~tie ~sanitize ->
+           (fun ~seed ~tie ~sanitize ~trace ->
              let system, _, _, _, _ =
-               t14_decentralized ~tie ~sanitize ~seed ~guards:true ()
+               t14_decentralized ~tie ~sanitize ~trace ~seed ~guards:true ()
              in
              system));
     entry "t15"
@@ -2920,10 +2931,10 @@ let sanitize_experiments =
 
 (* One full run of a single-engine pinned experiment, returning the soaked
    system (`lastcpu metrics --exp` prints its telemetry registry). *)
-let soaked_system ~exp ~seed =
+let soaked_system ?(sanitize = false) ?(trace = false) ~exp ~seed () =
   match find exp with
   | Some { exp_run = Pinned build; _ } ->
-    build ~seed ~tie:Engine.Fifo ~sanitize:false
+    build ~seed ~tie:Engine.Fifo ~sanitize ~trace
   | _ -> invalid_arg ("soaked_system: unknown experiment " ^ exp)
 
 (* One full run of a pinned experiment: its systems in shard order and the
@@ -2931,7 +2942,7 @@ let soaked_system ~exp ~seed =
 let run_pinned ~caller ~tie ~sanitize ~seed exp =
   match find exp with
   | Some { exp_run = Pinned build; _ } ->
-    let system = build ~seed ~tie ~sanitize in
+    let system = build ~seed ~tie ~sanitize ~trace:false in
     ([| system |], Metrics.digest (Engine.metrics (System.engine system)))
   | Some { exp_run = Pinned_soak soak; _ } ->
     let r = run_soak ~tie ~sanitize ~seed soak in

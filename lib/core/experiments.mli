@@ -212,11 +212,14 @@ val sanitize_experiments : string list
 (** The digest-pinned runs, which the sanitizer drives
     (["t1"; "t13"; "t14"; "t15"]). *)
 
-val soaked_system : exp:string -> seed:int64 -> System.t
+val soaked_system :
+  ?sanitize:bool -> ?trace:bool -> exp:string -> seed:int64 -> unit -> System.t
 (** Build and run [exp] (one of {!metrics_experiments}) to completion with
     the given seed, returning the soaked system (for t13 and t14 the
     CPU-less half; t14 with its overload guards armed). Same seed ⇒
-    byte-identical telemetry registry. *)
+    byte-identical telemetry registry. [sanitize] journals multi-event
+    ticks and [trace] retains the run trace (both default [false]); neither
+    changes the registry. *)
 
 val metrics_digest : exp:string -> seed:int64 -> int64
 (** Build and run [exp] (one of {!sanitize_experiments}) with the given

@@ -33,6 +33,7 @@ type step = {
 
 val figure2_steps : outcome -> step list
 (** The seven steps in trace order; fewer than seven indicates a broken
-    bring-up (tests assert all seven, in order). *)
+    bring-up (tests assert all seven, in order).
+    @raise Invalid_argument unless the run's spec set [trace]. *)
 
 val pp_steps : Format.formatter -> step list -> unit

@@ -33,6 +33,7 @@ type spec = {
   fault_plan : Lastcpu_sim.Faults.plan;
   tie : Engine.tie_break;
   sanitize : bool;
+  trace : bool;
   shard : int;
   quarantine : Sysbus.quarantine_config option;
 }
@@ -58,6 +59,7 @@ let default_spec =
     fault_plan = Lastcpu_sim.Faults.zero;
     tie = Engine.Fifo;
     sanitize = false;
+    trace = false;
     shard = 0;
     quarantine = None;
   }
@@ -80,7 +82,9 @@ type t = {
 let build ?(spec = default_spec) () =
   let engine =
     Engine.create ~seed:spec.seed ~costs:spec.costs ~fault_plan:spec.fault_plan
-      ~tie:spec.tie ~sanitize:spec.sanitize ()
+      ~tie:spec.tie ~sanitize:spec.sanitize
+      ~trace_capacity:(if spec.trace then max_int else 0)
+      ()
   in
   let memory = Physmem.create ~size:(Int64.shift_left 1L 31) () in
   let network = Netsim.create ~shard:spec.shard engine in

@@ -36,6 +36,11 @@ type spec = {
   sanitize : bool;
       (** journal multi-event ticks for the ordering sanitizer (default
           [false]: zero overhead) *)
+  trace : bool;
+      (** retain every run trace entry, for readers of
+          {!Lastcpu_sim.Engine.trace} such as the Figure-2 step check
+          (default [false]: no entry kept, no detail string built; span
+          histograms and every digest are the same either way) *)
   shard : int;
       (** home shard id for this system's bus and network in a temporally
           decoupled multi-shard run (default [0]; irrelevant outside one) *)

@@ -175,8 +175,9 @@ let dispatch t (msg : Message.t) =
       else begin
         bump_forged_failures t;
         Engine.trace_event t.engine ~actor:t.dev_name ~kind:"device.forged-failure"
-          (Printf.sprintf "Device_failed{dev%d} claimed by dev%d, ignored"
-             device msg.src)
+          (fun () ->
+            Printf.sprintf "Device_failed{dev%d} claimed by dev%d, ignored"
+              device msg.src)
       end
     | Message.Discover_request { kind; query } ->
       List.iter
@@ -267,7 +268,9 @@ let handle t msg =
   if Message.expired msg ~now then begin
     bump_expired t;
     Engine.trace_event t.engine ~actor:t.dev_name ~kind:"device.expired"
-      (Printf.sprintf "%s past deadline, shed" (Message.payload_tag msg.payload))
+      (fun () ->
+        Printf.sprintf "%s past deadline, shed"
+          (Message.payload_tag msg.payload))
   end
   else
     match
@@ -277,8 +280,9 @@ let handle t msg =
     | `Accepted -> ()
     | `Rejected ->
       Engine.trace_event t.engine ~actor:t.dev_name ~kind:"device.busy"
-        (Printf.sprintf "%s rejected, monitor queue full"
-           (Message.payload_tag msg.payload));
+        (fun () ->
+          Printf.sprintf "%s rejected, monitor queue full"
+            (Message.payload_tag msg.payload));
       (* NACK requests so the sender can back off; drop responses silently
          (the requester's timeout covers them, and NACKing a NACK loops). *)
       if (not (response_like msg.payload)) && msg.src >= 0 then begin
@@ -444,10 +448,11 @@ let create ?shard sysbus ~mem ~name ?tlb_sets ?tlb_ways ?(no_tlb = false) () =
   Iommu.attach_fault_handler iommu (fun fault ->
       Metrics.incr t.m_faults;
       Engine.trace_event engine ~actor:name ~kind:"device.fault"
-        (Printf.sprintf "pasid=%d va=0x%Lx %s" fault.Iommu.pasid fault.Iommu.va
-           (match fault.Iommu.reason with
-           | Iommu.Not_mapped -> "not-mapped"
-           | Iommu.Protection -> "protection"));
+        (fun () ->
+          Printf.sprintf "pasid=%d va=0x%Lx %s" fault.Iommu.pasid fault.Iommu.va
+            (match fault.Iommu.reason with
+            | Iommu.Not_mapped -> "not-mapped"
+            | Iommu.Protection -> "protection"));
       match t.fault_handler with Some f -> f fault | None -> ());
   t
 
@@ -588,13 +593,15 @@ let observe_peer_result t peer (payload : Message.payload) =
         b.state <- Open (Int64.add (Engine.now t.engine) window);
         (match t.m_breaker_opened with Some c -> Metrics.incr c | None -> ());
         Engine.trace_event t.engine ~actor:t.dev_name ~kind:"device.breaker-open"
-          (Printf.sprintf "peer=%d failures=%d window=%Ldns" peer b.failures
-             window)
+          (fun () ->
+            Printf.sprintf "peer=%d failures=%d window=%Ldns" peer b.failures
+              window)
       end
     | _ ->
       if b.failures > 0 || b.state <> Closed then
         Engine.trace_event t.engine ~actor:t.dev_name
-          ~kind:"device.breaker-close" (Printf.sprintf "peer=%d" peer);
+          ~kind:"device.breaker-close"
+          (fun () -> Printf.sprintf "peer=%d" peer);
       b.failures <- 0;
       b.state <- Closed)
 
@@ -634,7 +641,7 @@ let request t ?deadline_ns ?timeout ?(retries = 0) ~dst payload k =
        extend the open window they are caused by. *)
     (match t.m_breaker_fast_fails with Some c -> Metrics.incr c | None -> ());
     Engine.trace_event t.engine ~actor:t.dev_name ~kind:"device.breaker-reject"
-      (Printf.sprintf "peer=%d retry-after=%Ldns" peer remaining);
+      (fun () -> Printf.sprintf "peer=%d retry-after=%Ldns" peer remaining);
     Engine.schedule t.engine ~delay:0L (fun () ->
         finish
           (Message.Error_msg

@@ -97,8 +97,9 @@ let execute_client t op k =
         Int64.mul (Int64.of_int t.client_in_flight) costs.Lastcpu_sim.Costs.flash_write_page_ns
       in
       Engine.trace_event t.engine ~actor:t.actor ~kind:"kv.shed"
-        (Printf.sprintf "in-flight=%d retry-after=%Ldns" t.client_in_flight
-           retry_after_ns);
+        (fun () ->
+          Printf.sprintf "in-flight=%d retry-after=%Ldns" t.client_in_flight
+            retry_after_ns);
       k (Kv_proto.Failed (Message.busy_detail ~retry_after_ns))
     end
     else begin
@@ -208,8 +209,9 @@ let rec reattach t ~dev ~memctl ~user ~log_path ~auth ~req_timeout ~req_retries
                     t.recovered <- n;
                     Engine.trace_event t.engine ~actor:t.actor
                       ~kind:"kv.failover"
-                      (Printf.sprintf "reattached to dev%d (%d records)"
-                         (File_client.provider fc) n);
+                      (fun () ->
+                        Printf.sprintf "reattached to dev%d (%d records)"
+                          (File_client.provider fc) n);
                     t.failing_over <- false;
                     drain_parked t)))
 
@@ -220,7 +222,9 @@ let install_supervisor t ~dev ~memctl ~user ~log_path ~auth ~req_timeout
         t.failing_over <- true;
         (match t.m_failovers with Some c -> Metrics.incr c | None -> ());
         Engine.trace_event t.engine ~actor:t.actor ~kind:"kv.failover"
-          (Printf.sprintf "provider dev%d failed, re-running discovery" device);
+          (fun () ->
+            Printf.sprintf "provider dev%d failed, re-running discovery"
+              device);
         File_client.abort_in_flight t.fc "provider failed";
         reattach t ~dev ~memctl ~user ~log_path ~auth ~req_timeout ~req_retries
           ~fresh ~attempt:0

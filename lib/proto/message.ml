@@ -140,6 +140,35 @@ let payload_tag = function
   | Error_msg _ -> "error"
   | App_message _ -> "app-msg"
 
+(* ["msg." ^ payload_tag p] as literals, so a trace call site names its
+   entry kind without allocating. *)
+let trace_kind = function
+  | Device_alive _ -> "msg.device-alive"
+  | Heartbeat -> "msg.heartbeat"
+  | Discover_request _ -> "msg.discover-req"
+  | Discover_response _ -> "msg.discover-resp"
+  | Open_service _ -> "msg.open-service"
+  | Open_response _ -> "msg.open-resp"
+  | Close_service _ -> "msg.close-service"
+  | Alloc_request _ -> "msg.alloc-req"
+  | Alloc_response _ -> "msg.alloc-resp"
+  | Map_directive _ -> "msg.map-directive"
+  | Grant_request _ -> "msg.grant-req"
+  | Map_complete _ -> "msg.map-complete"
+  | Free_request _ -> "msg.free-req"
+  | Unmap_directive _ -> "msg.unmap-directive"
+  | Doorbell _ -> "msg.doorbell"
+  | Fault_notify _ -> "msg.fault-notify"
+  | Resource_failed _ -> "msg.resource-failed"
+  | Device_failed _ -> "msg.device-failed"
+  | Reset_device -> "msg.reset-device"
+  | Reset_resource _ -> "msg.reset-resource"
+  | Load_image _ -> "msg.load-image"
+  | Auth_request _ -> "msg.auth-req"
+  | Auth_response _ -> "msg.auth-resp"
+  | Error_msg _ -> "msg.error"
+  | App_message _ -> "msg.app-msg"
+
 (* Size model: header (16B) plus a per-payload estimate. Exact fidelity is
    unnecessary; the codec gives true sizes where messages are actually
    serialised, and the latency model only needs the right magnitude. *)

@@ -126,6 +126,10 @@ val retry_after_of_detail : string -> int64 option
 val payload_tag : payload -> string
 (** Short machine-readable tag for tracing, e.g. "discover-req". *)
 
+val trace_kind : payload -> string
+(** The bus trace's entry kind for a message: ["msg."] followed by its
+    {!payload_tag}, e.g. "msg.discover-req". Allocates nothing. *)
+
 val wire_size : t -> int
 (** Encoded size in bytes (used by the latency model). *)
 

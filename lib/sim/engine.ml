@@ -39,6 +39,9 @@ type t = {
   metrics : Metrics.t;
   faults : Faults.t;
   mutable next_span : int;
+  (* Span histograms by span name, then actor: resolved at the first
+     completed span of each pair, then reused without a registry lookup. *)
+  mutable span_hists : (string * (string, Metrics.histogram) Hashtbl.t) list;
   mutable executed : int;
   sani : sani option;
   mutable probes : (unit -> int64) list; (* order-insensitive: summed *)
@@ -57,18 +60,19 @@ type t = {
   mutable owner_cell : Ownership.tracker option;
 }
 
-let create ?(seed = 42L) ?(costs = Costs.default) ?trace_capacity ?fault_plan
-    ?(tie = Fifo) ?(sanitize = false) ?(queue_hint = 0) () =
+let create ?(seed = 42L) ?(costs = Costs.default) ?(trace_capacity = 0)
+    ?fault_plan ?(tie = Fifo) ?(sanitize = false) ?(queue_hint = 0) () =
   let metrics = Metrics.create () in
   {
     clock = 0L;
     queue = Heap.create ~tie ~hint:queue_hint ();
     costs;
-    trace = Trace.create ?capacity:trace_capacity ();
+    trace = Trace.create ~capacity:trace_capacity ();
     rng = Rng.create ~seed;
     metrics;
     faults = Faults.create ?plan:fault_plan ~seed metrics;
     next_span = 0;
+    span_hists = [];
     executed = 0;
     sani =
       (if sanitize then
@@ -330,8 +334,11 @@ let restore_state t s =
   List.iter (fun (time, f) -> Heap.push t.queue ~priority:time f) kept;
   t.static_pending <- List.length kept
 
+(* The detail is a thunk so that no call site formats anything unless the
+   trace retains the entry. *)
 let trace_event t ~actor ~kind detail =
-  Trace.append t.trace ~time:t.clock ~actor ~kind detail
+  if Trace.enabled t.trace then
+    Trace.append t.trace ~time:t.clock ~actor ~kind (detail ())
 
 (* Spans: framework-timed intervals. [end_span] feeds the duration into the
    registry histogram [actor/<name>_ns], so latency distributions accumulate
@@ -344,10 +351,27 @@ let fresh_span_id t =
 let begin_span t ~actor ~name ~id =
   Trace.begin_span t.trace ~time:t.clock ~actor ~name ~id
 
+(* The histogram is registered at the first completed span of its
+   (actor, name) pair, as a registry lookup there would, so the registry
+   holds the same instruments at every point of the run. *)
+let span_hist t ~actor ~name =
+  let rec by_name = function
+    | (n, hists) :: _ when String.equal n name -> hists
+    | _ :: rest -> by_name rest
+    | [] ->
+      let hists = Hashtbl.create 16 in
+      t.span_hists <- (name, hists) :: t.span_hists;
+      hists
+  in
+  let hists = by_name t.span_hists in
+  match Hashtbl.find hists actor with
+  | h -> h
+  | exception Not_found ->
+    let h = Metrics.histogram t.metrics ~actor ~name:(name ^ "_ns") in
+    Hashtbl.replace hists actor h;
+    h
+
 let end_span t ~actor ~name ~id =
-  match Trace.end_span t.trace ~time:t.clock ~actor ~name ~id with
-  | None -> ()
-  | Some dur ->
-    Metrics.observe
-      (Metrics.histogram t.metrics ~actor ~name:(name ^ "_ns"))
-      (Int64.to_float dur)
+  let dur = Trace.end_span t.trace ~time:t.clock ~actor ~name ~id in
+  if dur >= 0 then
+    Metrics.observe (span_hist t ~actor ~name) (float_of_int dur)

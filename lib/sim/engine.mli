@@ -38,10 +38,11 @@ val create :
   t
 (** Fresh engine at time 0. [seed] defaults to [42L]; [fault_plan] to
     {!Faults.zero} (no injection); [tie] to [Fifo]; [sanitize] to [false]
-    (no journalling overhead). [trace_capacity] bounds the retained trace;
-    [0] disables event tracing entirely (spans still time into metrics —
-    see {!Trace.enabled}). [queue_hint] pre-sizes the event queue so
-    steady-state workloads never pay a heap growth copy. *)
+    (no journalling overhead). [trace_capacity] is how many trace entries
+    the engine retains, newest kept; the default [0] retains none and
+    formats no detail string, [max_int] keeps every entry. Spans time into
+    metrics either way (see {!Trace.create}). [queue_hint] pre-sizes the
+    event queue so steady-state workloads never pay a heap growth copy. *)
 
 val now : t -> int64
 (** Current virtual time in nanoseconds. *)
@@ -159,13 +160,14 @@ val restore_state : t -> string -> unit
     @raise Invalid_argument if sanitize mode differs from the checkpoint.
     @raise Snapshot.R.Corrupt on malformed input. *)
 
-val trace_event : t -> actor:string -> kind:string -> string -> unit
-(** Append to the run trace at the current virtual time. *)
+val trace_event :
+  t -> actor:string -> kind:string -> (unit -> string) -> unit
+(** Append to the run trace at the current virtual time. The detail is a
+    thunk, forced only when the trace retains entries, so a call site never
+    formats a string nobody will read. *)
 
 val tracing : t -> bool
-(** Whether the trace retains events ([trace_capacity] was not [0]).
-    Call sites that format trace detail strings eagerly should skip the
-    work when this is [false]. *)
+(** Whether the trace retains entries ([trace_capacity] was not [0]). *)
 
 val metrics : t -> Metrics.t
 (** The run-wide telemetry registry: all subsystem counters, gauges and
@@ -186,6 +188,10 @@ val register_probe : t -> (unit -> int64) -> unit
     metrics digest, so registration order does not matter. Probes must
     return values derived from simulation-stable state only. *)
 
+val state_hash : t -> int64
+(** The observable-state digest a journal tick records: the metrics digest
+    plus every registered probe. *)
+
 val sanitizer_journal : t -> Sanitizer.tick list
 (** The multi-event ticks journalled so far (flushes the in-progress tick
     group). Empty unless created with [~sanitize:true]. *)
@@ -195,8 +201,11 @@ val fresh_span_id : t -> int
     natural correlation id of their own. *)
 
 val begin_span : t -> actor:string -> name:string -> id:int -> unit
-(** Open span [name#id] at the current virtual time (traced). *)
+(** Open span [name#id] at the current virtual time (an entry only when
+    the trace retains entries). *)
 
 val end_span : t -> actor:string -> name:string -> id:int -> unit
-(** Close span [name#id]: traces the end and feeds the duration into the
-    registry histogram [actor/<name>_ns]. No-op for unknown spans. *)
+(** Close span [name#id] and feed its duration into the registry
+    histogram [actor/<name>_ns], registered at the first completed span of
+    that pair. No-op for unknown spans. Neither call formats a string
+    unless the trace retains entries. *)

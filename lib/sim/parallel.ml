@@ -14,7 +14,8 @@
    [Pool] is the repeated-barrier variant for the shard coordinator
    (Temporal): spawning a domain costs tens of microseconds, far too much
    to pay once per quantum window, so a pool keeps its helper domains
-   parked on a condition variable between rounds. Every round is bracketed
+   parked on a condition variable between rounds, and a shut-down pool
+   leaves them parked for the next one. Every round is bracketed
    by the pool mutex on both sides, which is the happens-before edge the
    memory model needs: shard state written by lane A in window w is
    visible to whichever lane reads it in window w+1. *)
@@ -68,7 +69,9 @@ let run_jobs ~jobs tasks =
   end
 
 module Pool = struct
-  type t = {
+  (* The lanes behind a pool: its helper domains and the rendezvous state
+     they park on. A crew outlives the pools that use it (see [create]). *)
+  type crew = {
     lanes : int;
     mutex : Mutex.t;
     cond : Condition.t;
@@ -76,48 +79,64 @@ module Pool = struct
     mutable errors : exn option array;  (* per-task, distinct slots *)
     mutable generation : int;  (* bumped once per round *)
     mutable outstanding : int;  (* helpers yet to finish the round *)
-    mutable stopped : bool;
-    mutable helpers : unit Domain.t array;
   }
+
+  type t = { crew : crew; mutable stopped : bool }
 
   (* Helper lane: park until the generation moves, run every task whose
      index hashes to this lane, report back. Exceptions land in the
      per-task [errors] slot so the caller can re-raise the earliest-index
      one — a deterministic choice no matter which lane hit it first. *)
-  let helper_loop pool lane =
+  let helper_loop crew lane =
     let seen = ref 0 in
     let rec loop () =
-      Mutex.lock pool.mutex;
-      while (not pool.stopped) && pool.generation = !seen do
-        Condition.wait pool.cond pool.mutex
+      Mutex.lock crew.mutex;
+      while crew.generation = !seen do
+        Condition.wait crew.cond crew.mutex
       done;
-      if pool.stopped then Mutex.unlock pool.mutex
-      else begin
-        seen := pool.generation;
-        let tasks = pool.tasks and errors = pool.errors in
-        Mutex.unlock pool.mutex;
-        Array.iteri
-          (fun i task ->
-            if i mod pool.lanes = lane then
-              match task () with
-              | () -> ()
-              | exception e -> errors.(i) <- Some e)
-          tasks;
-        Mutex.lock pool.mutex;
-        pool.outstanding <- pool.outstanding - 1;
-        if pool.outstanding = 0 then Condition.broadcast pool.cond;
-        Mutex.unlock pool.mutex;
-        loop ()
-      end
+      seen := crew.generation;
+      let tasks = crew.tasks and errors = crew.errors in
+      Mutex.unlock crew.mutex;
+      Array.iteri
+        (fun i task ->
+          if i mod crew.lanes = lane then
+            match task () with
+            | () -> ()
+            | exception e -> errors.(i) <- Some e)
+        tasks;
+      Mutex.lock crew.mutex;
+      crew.outstanding <- crew.outstanding - 1;
+      if crew.outstanding = 0 then Condition.broadcast crew.cond;
+      Mutex.unlock crew.mutex;
+      loop ()
     in
     loop ()
 
-  let create ~lanes =
-    if lanes <= 0 then
-      invalid_arg
-        (Printf.sprintf "Parallel.Pool.create: lanes must be >= 1 (got %d)"
-           lanes);
-    let pool =
+  (* Crews of shut-down pools, parked until a [create] with the same lane
+     count takes them. Their helpers never exit: OCaml finishes tearing a
+     domain down (handing its heap over to the survivors) only after
+     [Domain.join] has returned, so a collection started right after a
+     join can miss that heap and carry its garbage into the next run —
+     which made the peak memory of back-to-back sharded runs depend on
+     thread timing. *)
+  let idle = ref []
+  let idle_mutex = Mutex.create ()
+
+  let take_idle lanes =
+    let rec pick = function
+      | [] -> (None, [])
+      | c :: rest when c.lanes = lanes -> (Some c, rest)
+      | c :: rest ->
+        let found, rest = pick rest in
+        (found, c :: rest)
+    in
+    Mutex.protect idle_mutex (fun () ->
+        let found, rest = pick !idle in
+        idle := rest;
+        found)
+
+  let hire lanes =
+    let crew =
       {
         lanes;
         mutex = Mutex.create ();
@@ -126,53 +145,62 @@ module Pool = struct
         errors = [||];
         generation = 0;
         outstanding = 0;
-        stopped = false;
-        helpers = [||];
       }
     in
-    pool.helpers <-
-      Array.init (lanes - 1) (fun i ->
-          Domain.spawn (fun () -> helper_loop pool (i + 1)));
-    pool
+    for i = 1 to lanes - 1 do
+      ignore (Domain.spawn (fun () -> helper_loop crew i))
+    done;
+    crew
 
-  let lanes pool = pool.lanes
+  let create ~lanes =
+    if lanes <= 0 then
+      invalid_arg
+        (Printf.sprintf "Parallel.Pool.create: lanes must be >= 1 (got %d)"
+           lanes);
+    let crew = match take_idle lanes with Some c -> c | None -> hire lanes in
+    { crew; stopped = false }
+
+  let lanes pool = pool.crew.lanes
 
   let run pool tasks =
     if pool.stopped then invalid_arg "Parallel.Pool.run: pool is shut down";
-    if pool.lanes = 1 || Array.length tasks <= 1 then
+    let crew = pool.crew in
+    if crew.lanes = 1 || Array.length tasks <= 1 then
       (* Sequential lane: no synchronisation at all — byte-identical to a
          pool-less loop, which is what --shards 1 promises. *)
       Array.iter (fun task -> task ()) tasks
     else begin
       let errors = Array.make (Array.length tasks) None in
-      Mutex.lock pool.mutex;
-      pool.tasks <- tasks;
-      pool.errors <- errors;
-      pool.generation <- pool.generation + 1;
-      pool.outstanding <- Array.length pool.helpers;
-      Condition.broadcast pool.cond;
-      Mutex.unlock pool.mutex;
+      Mutex.lock crew.mutex;
+      crew.tasks <- tasks;
+      crew.errors <- errors;
+      crew.generation <- crew.generation + 1;
+      crew.outstanding <- crew.lanes - 1;
+      Condition.broadcast crew.cond;
+      Mutex.unlock crew.mutex;
       (* The calling domain is lane 0. *)
       Array.iteri
         (fun i task ->
-          if i mod pool.lanes = 0 then
+          if i mod crew.lanes = 0 then
             match task () with () -> () | exception e -> errors.(i) <- Some e)
         tasks;
-      Mutex.lock pool.mutex;
-      while pool.outstanding > 0 do
-        Condition.wait pool.cond pool.mutex
+      Mutex.lock crew.mutex;
+      while crew.outstanding > 0 do
+        Condition.wait crew.cond crew.mutex
       done;
-      Mutex.unlock pool.mutex;
+      Mutex.unlock crew.mutex;
       Array.iter (function Some e -> raise e | None -> ()) errors
     end
 
   let shutdown pool =
     if not pool.stopped then begin
-      Mutex.lock pool.mutex;
       pool.stopped <- true;
-      Condition.broadcast pool.cond;
-      Mutex.unlock pool.mutex;
-      Array.iter Domain.join pool.helpers;
-      pool.helpers <- [||]
+      let crew = pool.crew in
+      (* A parked crew must not keep the last round's tasks (and all they
+         reach) alive. *)
+      Mutex.protect crew.mutex (fun () ->
+          crew.tasks <- [||];
+          crew.errors <- [||]);
+      Mutex.protect idle_mutex (fun () -> idle := crew :: !idle)
     end
 end

@@ -8,8 +8,8 @@
 
     {!Pool} is the repeated-rendezvous variant used by the shard
     coordinator ({!Temporal}): helper domains are spawned once and parked
-    between rounds, so a barrier per quantum window costs a condition
-    signal, not a domain spawn. *)
+    between rounds, and between pools, so a barrier per quantum window
+    costs a condition signal, not a domain spawn. *)
 
 val run_jobs : jobs:int -> (unit -> 'a) list -> 'a list
 (** [run_jobs ~jobs tasks] executes every task and returns their results
@@ -26,8 +26,10 @@ module Pool : sig
   type t
 
   val create : lanes:int -> t
-  (** [create ~lanes] spawns [lanes - 1] helper domains (the caller is
-      lane 0) and parks them. [lanes = 1] spawns nothing: {!run} then
+  (** [create ~lanes] gets [lanes - 1] parked helper domains (the caller
+      is lane 0): those a {!shutdown} of a pool of as many lanes left
+      parked if there are any, fresh ones otherwise. [lanes = 1] spawns
+      nothing: {!run} then
       executes tasks inline, sequentially, with no synchronisation —
       byte-identical to not having a pool.
       @raise Invalid_argument if [lanes <= 0]. *)
@@ -45,5 +47,7 @@ module Pool : sig
       @raise Invalid_argument if the pool was shut down. *)
 
   val shutdown : t -> unit
-  (** Join the helper domains. Idempotent; the pool is unusable after. *)
+  (** Park the helper domains for the next {!create} of as many lanes;
+      they are never joined, and drop every reference to the last
+      round's tasks. Idempotent; the pool is unusable after. *)
 end

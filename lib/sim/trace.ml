@@ -1,79 +1,71 @@
 type entry = { time : int64; actor : string; kind : string; detail : string }
 
 type t = {
-  mutable entries : entry list;  (* newest first *)
-  mutable length : int;
-  capacity : int option;
-  enabled : bool;  (* capacity Some 0 = tracing off: appends are no-ops *)
-  open_spans : (string, int64) Hashtbl.t; (* "name#id" -> begin time *)
+  entries : entry Queue.t;  (* oldest first *)
+  capacity : int;  (* 0 = retain nothing: appends are no-ops *)
+  (* Begin times of open spans, one table per span name, keyed by id. The
+     names are a handful of literals, so a short list beats hashing them. *)
+  mutable open_spans : (string * (int, int64) Hashtbl.t) list;
 }
 
-let create ?capacity () =
-  {
-    entries = [];
-    length = 0;
-    capacity;
-    enabled = capacity <> Some 0;
-    open_spans = Hashtbl.create 16;
-  }
+let create ?(capacity = max_int) () =
+  { entries = Queue.create (); capacity; open_spans = [] }
 
-let enabled t = t.enabled
+let enabled t = t.capacity > 0
 
 let append t ~time ~actor ~kind detail =
-  if t.enabled then begin
-    t.entries <- { time; actor; kind; detail } :: t.entries;
-    t.length <- t.length + 1;
-    match t.capacity with
-    | Some cap when t.length > cap ->
-      (* Dropping the oldest entry of a singly-linked list is O(n); traces
-         with a capacity are small (ring-buffer-like use), so this is fine. *)
-      let rec keep n = function
-        | [] -> []
-        | _ when n = 0 -> []
-        | x :: rest -> x :: keep (n - 1) rest
-      in
-      t.entries <- keep cap t.entries;
-      t.length <- cap
-    | Some _ | None -> ()
+  if t.capacity > 0 then begin
+    Queue.push { time; actor; kind; detail } t.entries;
+    if Queue.length t.entries > t.capacity then ignore (Queue.pop t.entries)
   end
 
-let length t = t.length
-let entries t = List.rev t.entries
+let length t = Queue.length t.entries
+let entries t = List.of_seq (Queue.to_seq t.entries)
 let find_all t ~kind = List.filter (fun e -> e.kind = kind) (entries t)
 
-(* Spans: paired begin/end entries correlated by "name#id". Begin times are
-   kept in a side table (not recovered from entries) so capacity-trimmed
-   traces still time long-lived spans correctly. *)
+(* Spans: paired begin/end entries correlated by name and id; retained
+   entries carry "name#id" as detail. Begin times are kept in a side table
+   (not recovered from entries) so spans time correctly whether or not, and
+   however many, entries are retained. *)
 let span_begin_kind = "span.begin"
 let span_end_kind = "span.end"
-let span_key ~name ~id = name ^ "#" ^ string_of_int id
+
+let starts t name =
+  let rec find = function
+    | (n, tbl) :: _ when String.equal n name -> tbl
+    | _ :: rest -> find rest
+    | [] ->
+      let tbl = Hashtbl.create 16 in
+      t.open_spans <- (name, tbl) :: t.open_spans;
+      tbl
+  in
+  find t.open_spans
+
+let append_span t ~time ~actor ~kind ~name ~id =
+  if t.capacity > 0 then
+    append t ~time ~actor ~kind (name ^ "#" ^ string_of_int id)
 
 let begin_span t ~time ~actor ~name ~id =
-  let key = span_key ~name ~id in
-  Hashtbl.replace t.open_spans key time;
-  append t ~time ~actor ~kind:span_begin_kind key
+  Hashtbl.replace (starts t name) id time;
+  append_span t ~time ~actor ~kind:span_begin_kind ~name ~id
 
 let end_span t ~time ~actor ~name ~id =
-  let key = span_key ~name ~id in
-  match Hashtbl.find_opt t.open_spans key with
-  | None -> None (* unknown or already ended: not an error, just no sample *)
-  | Some start ->
-    Hashtbl.remove t.open_spans key;
-    append t ~time ~actor ~kind:span_end_kind key;
-    Some (Int64.sub time start)
+  let tbl = starts t name in
+  match Hashtbl.find tbl id with
+  | exception Not_found -> -1 (* unknown or already ended: no sample *)
+  | start ->
+    Hashtbl.remove tbl id;
+    append_span t ~time ~actor ~kind:span_end_kind ~name ~id;
+    Int64.to_int (Int64.sub time start)
 
-let open_span_count t = Hashtbl.length t.open_spans
-
-let clear t =
-  t.entries <- [];
-  t.length <- 0;
-  Hashtbl.reset t.open_spans
+let open_span_count t =
+  List.fold_left (fun n (_, tbl) -> n + Hashtbl.length tbl) 0 t.open_spans
 
 let pp_entry ppf e =
   Format.fprintf ppf "[%8Ld ns] %-14s %-22s %s" e.time e.actor e.kind e.detail
 
 let pp ppf t =
-  List.iter (fun e -> Format.fprintf ppf "%a@." pp_entry e) (entries t)
+  Queue.iter (fun e -> Format.fprintf ppf "%a@." pp_entry e) t.entries
 
 let json_escape s =
   let buf = Buffer.create (String.length s + 8) in
@@ -93,12 +85,12 @@ let json_escape s =
 
 let to_json_lines t =
   let buf = Buffer.create 4096 in
-  List.iter
+  Queue.iter
     (fun e ->
       Buffer.add_string buf
         (Printf.sprintf
            "{\"time_ns\":%Ld,\"actor\":\"%s\",\"kind\":\"%s\",\"detail\":\"%s\"}\n"
            e.time (json_escape e.actor) (json_escape e.kind)
            (json_escape e.detail)))
-    (entries t);
+    t.entries;
   Buffer.contents buf

@@ -50,8 +50,11 @@ let test_topology_mentions_all_devices () =
       Alcotest.(check bool) (name ^ " in topology") true (contains name))
     [ "memctl"; "ssd0"; "nic0"; "authdev"; "console" ]
 
+(* The step check reads the run trace, so these runs retain it. *)
+let traced_spec = { System.default_spec with trace = true }
+
 let test_figure2_steps_in_order () =
-  match Scenario.run () with
+  match Scenario.run ~spec:traced_spec () with
   | Error e -> Alcotest.fail e
   | Ok outcome ->
     let steps = Scenario.figure2_steps outcome in
@@ -67,7 +70,7 @@ let test_figure2_steps_in_order () =
 
 let test_scenario_deterministic () =
   let run () =
-    match Scenario.run () with
+    match Scenario.run ~spec:traced_spec () with
     | Error e -> Alcotest.fail e
     | Ok outcome ->
       ( outcome.Scenario.boot_ns,
@@ -81,11 +84,7 @@ let test_figure2_with_authentication () =
   (* The authenticated variant of the bring-up: step 3 carries a real
      session token minted by the auth device and verified by the SSD. *)
   let spec =
-    {
-      System.default_spec with
-      with_auth = true;
-      users = [ ("kvs", "kvs-secret") ];
-    }
+    { traced_spec with with_auth = true; users = [ ("kvs", "kvs-secret") ] }
   in
   match Scenario.run ~spec () with
   | Error e -> Alcotest.fail e

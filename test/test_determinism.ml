@@ -76,6 +76,35 @@ let test_seed_sensitivity () =
     (Experiments.metrics_digest ~exp:"t13" ~seed:42L
     <> Experiments.metrics_digest ~exp:"t13" ~seed:43L)
 
+(* Retaining the trace is observation only: the Figure-2 bring-up and the
+   t13 chaos soak, each run with and without retained entries (sanitizer
+   on), end with the same registry, state hash and sanitizer journal. *)
+let test_trace_leaves_digests_alone () =
+  let observe system =
+    let engine = System.engine system in
+    ( Metrics.to_json (Engine.metrics engine),
+      Engine.state_hash engine,
+      journal_hash (Engine.sanitizer_journal engine),
+      Lastcpu_sim.Trace.length (Engine.trace engine) )
+  in
+  let compare name run =
+    let json_off, hash_off, journal_off, kept_off = observe (run false) in
+    let json_on, hash_on, journal_on, kept_on = observe (run true) in
+    Alcotest.(check int) (name ^ ": off retains nothing") 0 kept_off;
+    Alcotest.(check bool) (name ^ ": on retains entries") true (kept_on > 0);
+    Alcotest.(check string) (name ^ ": Metrics.to_json") json_off json_on;
+    Alcotest.(check int64) (name ^ ": state_hash") hash_off hash_on;
+    Alcotest.(check int64) (name ^ ": sanitizer journal") journal_off journal_on
+  in
+  compare "figure2" (fun trace ->
+      match
+        Scenario.run ~spec:{ System.default_spec with sanitize = true; trace } ()
+      with
+      | Ok outcome -> outcome.Scenario.system
+      | Error e -> Alcotest.fail e);
+  compare "t13" (fun trace ->
+      Experiments.soaked_system ~sanitize:true ~trace ~exp:"t13" ~seed:42L ())
+
 (* The data plane end to end: one closed-loop remote client pushes 150
    Put/Get pairs of 4 KiB values through the NIC fast path into the
    SSD-backed store (WAL append -> virtqueue -> NAND) and reads them back.
@@ -204,6 +233,8 @@ let () =
         @ [
             Alcotest.test_case "seed sensitivity" `Slow test_seed_sensitivity;
             Alcotest.test_case "kv.put-get digest" `Slow test_kv_put_get_digest;
+            Alcotest.test_case "trace leaves digests alone" `Slow
+              test_trace_leaves_digests_alone;
           ]
       );
       ( "streaming-hash",

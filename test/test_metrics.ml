@@ -93,8 +93,8 @@ let test_histogram_merge () =
 
 (* --- determinism -------------------------------------------------------------- *)
 
-let scenario_exn () =
-  match Scenario.run () with
+let scenario_exn ?spec () =
+  match Scenario.run ?spec () with
   | Ok outcome -> outcome
   | Error e -> Alcotest.fail ("scenario: " ^ e)
 
@@ -108,7 +108,8 @@ let test_snapshot_deterministic () =
 (* --- spans --------------------------------------------------------------------- *)
 
 let test_span_pairing () =
-  let outcome = scenario_exn () in
+  (* Pairing is checked on the retained entries, so this run keeps them. *)
+  let outcome = scenario_exn ~spec:{ System.default_spec with trace = true } () in
   let system = outcome.Scenario.system in
   System.run_until_idle system;
   let trace = Engine.trace (System.engine system) in

@@ -297,6 +297,15 @@ let test_wire_size_positive () =
       Alcotest.(check bool) "positive" true (Message.wire_size msg > 0))
     sample_payloads
 
+(* The bus trace names message entries by [trace_kind] without allocating;
+   the literal table must stay in step with [payload_tag]. *)
+let test_trace_kind_all_constructors () =
+  List.iter
+    (fun payload ->
+      let tag = Message.payload_tag payload in
+      Alcotest.(check string) tag ("msg." ^ tag) (Message.trace_kind payload))
+    sample_payloads
+
 (* --- Zero-copy codec ----------------------------------------------------- *)
 
 (* The contract behind direct-view encoding: for EVERY payload
@@ -445,6 +454,8 @@ let () =
           Alcotest.test_case "legacy frames" `Quick test_codec_accepts_legacy_frames;
           QCheck_alcotest.to_alcotest codec_fuzz_prop;
           Alcotest.test_case "wire size positive" `Quick test_wire_size_positive;
+          Alcotest.test_case "trace kind every constructor" `Quick
+            test_trace_kind_all_constructors;
           Alcotest.test_case "encoded_size every constructor" `Quick
             test_encoded_size_all_constructors;
         ] );

@@ -255,9 +255,87 @@ let test_trace_capacity () =
   done;
   Alcotest.(check int) "bounded" 3 (Trace.length t);
   let details = List.map (fun (e : Trace.entry) -> e.Trace.detail) (Trace.entries t) in
-  Alcotest.(check (list string)) "newest retained" [ "8"; "9"; "10" ] details
+  Alcotest.(check (list string)) "newest retained" [ "8"; "9"; "10" ] details;
+  (* Dropping the oldest entry is O(1): 100k appends into a full trace of
+     1,000 keep exactly the last 1,000, in order. *)
+  let cap = 1_000 and n = 100_000 in
+  let t = Trace.create ~capacity:cap () in
+  for i = 1 to n do
+    Trace.append t ~time:(Int64.of_int i) ~actor:"a" ~kind:"k" ""
+  done;
+  Alcotest.(check int) "bounded at 1,000" cap (Trace.length t);
+  Alcotest.(check (list int64)) "last 1,000 in order"
+    (List.init cap (fun i -> Int64.of_int (n - cap + 1 + i)))
+    (List.map (fun (e : Trace.entry) -> e.Trace.time) (Trace.entries t))
+
+let test_trace_off_still_times_spans () =
+  let t = Trace.create ~capacity:0 () in
+  Alcotest.(check bool) "off" false (Trace.enabled t);
+  Trace.append t ~time:1L ~actor:"a" ~kind:"k" "dropped";
+  Trace.begin_span t ~time:10L ~actor:"a" ~name:"req" ~id:7;
+  Trace.begin_span t ~time:12L ~actor:"a" ~name:"op" ~id:7;
+  Alcotest.(check int) "two open" 2 (Trace.open_span_count t);
+  Alcotest.(check int) "req timed" 15
+    (Trace.end_span t ~time:25L ~actor:"a" ~name:"req" ~id:7);
+  Alcotest.(check int) "ending twice is no sample" (-1)
+    (Trace.end_span t ~time:26L ~actor:"a" ~name:"req" ~id:7);
+  Alcotest.(check int) "same id, other name" 18
+    (Trace.end_span t ~time:30L ~actor:"a" ~name:"op" ~id:7);
+  Alcotest.(check int) "nothing retained" 0 (Trace.length t)
 
 (* --- Engine -------------------------------------------------------------- *)
+
+(* Minor-heap words one span begin/end pair costs, the [end_span] closure
+   included; the schedule+run around each pair is measured alone and
+   subtracted. The first 100 pairs register the histogram. *)
+let words_per_span_pair ~trace_capacity =
+  let e = Engine.create ~trace_capacity () in
+  let pairs k =
+    for id = 1 to k do
+      Engine.begin_span e ~actor:"dev" ~name:"request" ~id;
+      Engine.schedule e ~delay:5L (fun () ->
+          Engine.end_span e ~actor:"dev" ~name:"request" ~id);
+      Engine.run e
+    done
+  in
+  pairs 100;
+  let n = 10_000 in
+  let measure f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let spans = measure (fun () -> pairs n) in
+  let base =
+    measure (fun () ->
+        for _ = 1 to n do
+          Engine.schedule e ~delay:5L ignore;
+          Engine.run e
+        done)
+  in
+  (match
+     Lastcpu_sim.Metrics.find (Engine.metrics e) ~actor:"dev" ~name:"request_ns"
+   with
+  | Some (Lastcpu_sim.Metrics.Histogram_v r) ->
+    Alcotest.(check int) "every pair sampled" (n + 100) r.Stats.n
+  | _ -> Alcotest.fail "dev/request_ns missing");
+  (spans -. base) /. float_of_int n
+
+(* On an engine that retains no entries a pair builds no string: 34 words
+   were measured on OCaml 5.1, the open-span bucket and the histogram
+   sample. Building the "name#id" detail at both ends adds more than the
+   slack, as the retaining engine shows. *)
+let span_pair_words_bound = 40.
+
+let test_engine_span_allocation () =
+  let off = words_per_span_pair ~trace_capacity:0 in
+  if off > span_pair_words_bound then
+    Alcotest.failf "span pair allocates %.1f minor words, bound %.0f" off
+      span_pair_words_bound;
+  let on = words_per_span_pair ~trace_capacity:max_int in
+  Alcotest.(check bool)
+    (Printf.sprintf "gate sees the detail strings (%.0f retained vs %.0f)" on off)
+    true (on > span_pair_words_bound)
 
 let test_engine_ordering () =
   let e = Engine.create () in
@@ -429,6 +507,8 @@ let () =
           Alcotest.test_case "order and filter" `Quick test_trace_order_and_filter;
           Alcotest.test_case "json lines" `Quick test_trace_json_lines;
           Alcotest.test_case "capacity" `Quick test_trace_capacity;
+          Alcotest.test_case "off still times spans" `Quick
+            test_trace_off_still_times_spans;
         ] );
       ( "engine",
         [
@@ -437,6 +517,7 @@ let () =
           Alcotest.test_case "until" `Quick test_engine_until;
           Alcotest.test_case "nested schedule" `Quick test_engine_nested_schedule;
           Alcotest.test_case "determinism" `Quick test_engine_determinism;
+          Alcotest.test_case "span pair allocation" `Quick test_engine_span_allocation;
         ] );
       ( "station",
         [

@@ -74,6 +74,27 @@ let test_pool_basics () =
     (Invalid_argument "Parallel.Pool.run: pool is shut down") (fun () ->
       Parallel.Pool.run pool [| (fun () -> ()) |])
 
+(* A shut-down pool parks its helper domain for the next pool of as many
+   lanes, once: two live pools never share a helper. *)
+let test_pool_reuses_parked_helpers () =
+  let helper pool =
+    let ids = Array.make 2 (-1) in
+    Parallel.Pool.run pool
+      (Array.init 2 (fun i () -> ids.(i) <- (Domain.self () :> int)));
+    Alcotest.(check int) "lane 0 is the caller" (Domain.self () :> int) ids.(0);
+    ids.(1)
+  in
+  let a = Parallel.Pool.create ~lanes:2 in
+  let h = helper a in
+  Parallel.Pool.shutdown a;
+  Parallel.Pool.shutdown a;
+  let b = Parallel.Pool.create ~lanes:2 in
+  let c = Parallel.Pool.create ~lanes:2 in
+  Alcotest.(check int) "parked helper reused" h (helper b);
+  Alcotest.(check bool) "live pools do not share a helper" true (helper c <> h);
+  Parallel.Pool.shutdown b;
+  Parallel.Pool.shutdown c
+
 (* --- Temporal: construction and quantum geometry ------------------------ *)
 
 let test_temporal_validation () =
@@ -341,6 +362,8 @@ let () =
           Alcotest.test_case "run_jobs earliest exception" `Quick
             test_run_jobs_propagates_earliest_exception;
           Alcotest.test_case "pool basics" `Quick test_pool_basics;
+          Alcotest.test_case "pool reuses parked helpers" `Quick
+            test_pool_reuses_parked_helpers;
         ] );
       ( "quantum",
         [
