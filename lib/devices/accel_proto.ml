@@ -13,28 +13,45 @@ let job_bytes = function
   | Upper { len; _ } -> 2 * len
   | Histogram { len; _ } -> len + (256 * 8)
 
-let encode_job j =
-  let w = Wire.Writer.create () in
-  (match j with
-  | Checksum { va; len } ->
-    Wire.Writer.byte w 0;
-    Wire.Writer.int64 w va;
-    Wire.Writer.varint w len
-  | Word_count { va; len } ->
-    Wire.Writer.byte w 1;
-    Wire.Writer.int64 w va;
-    Wire.Writer.varint w len
-  | Upper { src; dst; len } ->
-    Wire.Writer.byte w 2;
-    Wire.Writer.int64 w src;
-    Wire.Writer.int64 w dst;
-    Wire.Writer.varint w len
-  | Histogram { va; len; dst } ->
-    Wire.Writer.byte w 3;
-    Wire.Writer.int64 w va;
-    Wire.Writer.varint w len;
-    Wire.Writer.int64 w dst);
-  Wire.Writer.contents w
+(* One byte layout per message, sized by [Wire.Sizer] and written once
+   into an exact-size buffer by [Wire.Bytes_writer]. *)
+module Emit (W : Wire.SINK) = struct
+  let job w = function
+    | Checksum { va; len } ->
+      W.byte w 0;
+      W.int64 w va;
+      W.varint w len
+    | Word_count { va; len } ->
+      W.byte w 1;
+      W.int64 w va;
+      W.varint w len
+    | Upper { src; dst; len } ->
+      W.byte w 2;
+      W.int64 w src;
+      W.int64 w dst;
+      W.varint w len
+    | Histogram { va; len; dst } ->
+      W.byte w 3;
+      W.int64 w va;
+      W.varint w len;
+      W.int64 w dst
+
+  let outcome w = function
+    | Value v ->
+      W.byte w 0;
+      W.int64 w v
+    | Written n ->
+      W.byte w 1;
+      W.varint w n
+    | Fault m ->
+      W.byte w 2;
+      W.string w m
+end
+
+module Emit_size = Emit (Wire.Sizer)
+module Emit_bytes = Emit (Wire.Bytes_writer)
+
+let encode_job j = Wire.encode_sized Emit_size.job Emit_bytes.job j
 
 let decode_job s =
   match
@@ -63,19 +80,7 @@ let decode_job s =
   | j -> Ok j
   | exception Wire.Malformed m -> Error m
 
-let encode_outcome o =
-  let w = Wire.Writer.create () in
-  (match o with
-  | Value v ->
-    Wire.Writer.byte w 0;
-    Wire.Writer.int64 w v
-  | Written n ->
-    Wire.Writer.byte w 1;
-    Wire.Writer.varint w n
-  | Fault m ->
-    Wire.Writer.byte w 2;
-    Wire.Writer.string w m);
-  Wire.Writer.contents w
+let encode_outcome o = Wire.encode_sized Emit_size.outcome Emit_bytes.outcome o
 
 let decode_outcome s =
   match

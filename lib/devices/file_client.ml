@@ -96,9 +96,19 @@ let abort_in_flight t reason =
     k (Ssd_proto.Err reason)
   done
 
+(* A used entry that names no request in flight is the provider's fault;
+   it is dropped and counted under this device's actor, in a counter
+   registered on first use so a clean run's registry is unchanged. *)
+let dropped_completion t _id =
+  Lastcpu_sim.Metrics.incr
+    (Lastcpu_sim.Metrics.counter
+       (Lastcpu_sim.Engine.metrics (Device.engine t.dev))
+       ~actor:(Device.actor t.dev) ~name:"vq_dropped_completions")
+
 let on_doorbell t () =
+  let on_drop = dropped_completion t in
   let rec drain () =
-    match Vq.Driver.poll_used t.driver with
+    match Vq.Driver.poll_used ~on_drop t.driver with
     | None -> ()
     | Some (head, written) ->
       (match Hashtbl.find_opt t.by_head head with

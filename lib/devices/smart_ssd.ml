@@ -236,40 +236,70 @@ let write_chain_response dma (buffers : Vq.buffer list) resp =
 
 (* Doorbell service --------------------------------------------------------- *)
 
+(* A client's misuse of its queue, counted under this device's actor. The
+   counter is registered on first use, so a clean run's registry — and
+   every digest folded from it — is unchanged. *)
+let count_misuse t name =
+  Metrics.incr
+    (Metrics.counter (Engine.metrics (Device.engine t.dev))
+       ~actor:(Device.actor t.dev) ~name)
+
+let detach t ~queue =
+  Hashtbl.remove t.queues queue;
+  Device.clear_doorbell t.dev ~queue
+
+(* The ring itself faulted: the queue cannot be served or completed, so it
+   is dropped, as if the client had detached it. *)
+let ring_fault t ~queue =
+  count_misuse t "ring_faults";
+  detach t ~queue
+
+let serve_chain t ~qs dma buffers =
+  let response =
+    match decode_chain_request dma buffers with
+    | Error m -> Ssd_proto.Err ("malformed request: " ^ m)
+    | Ok req ->
+      Metrics.incr t.m_served;
+      exec_request t ~qs req
+  in
+  match write_chain_response dma buffers response with
+  | Ok n -> n
+  | Error m -> (
+    match write_chain_response dma buffers (Ssd_proto.Err m) with
+    | Ok n -> n
+    | Error _ -> 0)
+
+(* A chain the device cannot walk, or whose buffers lie outside the
+   client's grant, completes with 0 bytes written; a fault on the ring
+   itself detaches the queue. *)
 let process_queue t ~queue =
   match Hashtbl.find_opt t.queues queue with
   | None -> ()
-  | Some qs ->
+  | Some qs -> (
     let dma = Device.dma t.dev ~pasid:qs.q_pasid in
     let total_cost = ref 0L in
-    let completions =
-      Vq.Device.drain_deferred qs.vq ~f:(fun { Vq.Device.buffers; _ } ->
+    let bad_chain _ = count_misuse t "bad_chains" in
+    match
+      Vq.Device.drain_deferred ~on_bad:bad_chain qs.vq
+        ~f:(fun { Vq.Device.buffers; _ } ->
           let snapshot = nand_snapshot t in
-          let response =
-            match decode_chain_request dma buffers with
-            | Error m -> Ssd_proto.Err ("malformed request: " ^ m)
-            | Ok req ->
-              Metrics.incr t.m_served;
-              exec_request t ~qs req
-          in
           let written =
-            match write_chain_response dma buffers response with
-            | Ok n -> n
-            | Error m -> (
-              match write_chain_response dma buffers (Ssd_proto.Err m) with
-              | Ok n -> n
-              | Error _ -> 0)
+            try serve_chain t ~qs dma buffers
+            with Dma.Dma_fault _ ->
+              bad_chain ();
+              0
           in
           total_cost := Int64.add !total_cost (nand_cost t snapshot);
           written)
-    in
-    (match completions with
+    with
+    | exception Dma.Dma_fault _ -> ring_fault t ~queue
     | [] -> ()
     | completions ->
       (* Completions surface after the flash work is done. *)
       Engine.schedule (Device.engine t.dev) ~delay:!total_cost (fun () ->
-          Vq.Device.publish_used qs.vq completions;
-          Device.doorbell t.dev ~dst:qs.client ~queue))
+          match Vq.Device.publish_used qs.vq completions with
+          | () -> Device.doorbell t.dev ~dst:qs.client ~queue
+          | exception Dma.Dma_fault _ -> ring_fault t ~queue))
 
 (* Control plane ------------------------------------------------------------ *)
 
@@ -312,11 +342,7 @@ let handle_vq_attach t (msg : Message.t) body =
     end
 
 let handle_vq_detach t (msg : Message.t) body =
-  (match int_of_string_opt body with
-  | Some queue ->
-    Hashtbl.remove t.queues queue;
-    Device.clear_doorbell t.dev ~queue
-  | None -> ());
+  Option.iter (fun queue -> detach t ~queue) (int_of_string_opt body);
   Device.reply t.dev ~to_:msg.Message.src ~corr:msg.Message.corr
     (Message.App_message { tag = "vq-ok"; body = "" })
 

@@ -9,7 +9,12 @@
     granting this device access — Fig. 2 step 7) with an [App_message]
     tagged ["vq-attach"], then exchange {!Ssd_proto} requests through it;
     completions are signalled with doorbells both ways. Each request's
-    virtual latency includes the NAND operations it actually caused.
+    virtual latency includes the NAND operations it actually caused. A
+    chain this device cannot serve (a buffer outside the grant, a bad
+    descriptor link) completes with 0 bytes written and counts in
+    [bad_chains]; a queue whose ring faults is detached and counts in
+    [ring_faults]. Both counters appear under this device's actor only
+    once something misbehaves.
 
     Isolation: each connection carries its own user identity and address
     space; file permission checks happen here, on the device (§4 Access

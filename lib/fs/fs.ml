@@ -188,19 +188,34 @@ let bit_set b i v =
 
 let bits_per_block t = t.block_size * 8
 
+(* First-fit over the data region. Whole bytes and 64-bit words of set
+   bits are stepped over when they lie inside [data_start, total_blocks);
+   that skips only what the bit-at-a-time scan would have passed, so the
+   block chosen and the blocks read are the same. *)
 let alloc_block t =
-  (* First-fit over the data region. *)
+  let bits = bits_per_block t in
   let rec scan_block bi =
     if bi >= t.bitmap_blocks then Error No_space
     else begin
       let* s = peek_block t (t.bitmap_start + bi) in
-      let base = bi * bits_per_block t in
+      let base = bi * bits in
       let rec scan_bit i =
-        if i >= bits_per_block t then scan_block (bi + 1)
+        if i >= bits then scan_block (bi + 1)
         else begin
           let blk = base + i in
           if blk >= t.total_blocks then Error No_space
-          else if blk >= t.data_start && not (bit_get s i) then begin
+          else if blk < t.data_start then
+            scan_bit (min t.data_start t.total_blocks - base)
+          else if
+            i land 63 = 0
+            && i + 64 <= bits
+            && blk + 64 <= t.total_blocks
+            && Int64.equal (String.get_int64_le s (i lsr 3)) (-1L)
+          then scan_bit (i + 64)
+          else if
+            i land 7 = 0 && blk + 8 <= t.total_blocks && s.[i lsr 3] = '\xff'
+          then scan_bit (i + 8)
+          else if not (bit_get s i) then begin
             let b = Bytes.of_string s in
             bit_set b i true;
             let* () = write_block t (t.bitmap_start + bi) b in
@@ -442,6 +457,27 @@ let split_path path =
   else
     Some (List.filter (fun c -> String.length c > 0) (String.split_on_char '/' path))
 
+(* The inode number of the first entry called [name] among the entries
+   in the first [len] bytes of [s], or -1: [parse_dir]'s framing and
+   [List.assoc_opt]'s choice, read in place. *)
+let find_entry s ~len name =
+  let want = String.length name in
+  let rec same pos i = i >= want || (s.[pos + i] = name.[i] && same pos (i + 1)) in
+  let rec go pos =
+    if pos + 2 > len then -1
+    else begin
+      let nlen = String.get_uint16_le s pos in
+      if nlen = 0 || pos + 2 + nlen + 4 > len then -1
+      else if nlen = want && same (pos + 2) 0 then get_u32 s (pos + 2 + nlen)
+      else go (pos + 2 + nlen + 4)
+    end
+  in
+  go 0
+
+(* Path resolution reads each directory's inode and entries in place: the
+   same blocks, borrowed in the same order, as decoding the inode and
+   parsing the directory would read. A directory larger than one block
+   is read whole first, since its entries may straddle blocks. *)
 let lookup t path =
   match split_path path with
   | None -> Error (Invalid (Printf.sprintf "bad path %S" path))
@@ -449,13 +485,27 @@ let lookup t path =
     let rec walk ino = function
       | [] -> Ok ino
       | name :: rest ->
-        let* node = read_inode t ino in
-        if node.kind <> Directory then Error (Not_a_directory path)
-        else
-          let* entries = read_dir_entries t node in
-          (match List.assoc_opt name entries with
-          | None -> Error (Not_found_e path)
-          | Some child -> walk child rest)
+        if ino < 0 || ino >= t.ninodes then Error (Invalid "bad inode number")
+        else begin
+          let off = ino mod inodes_per_block t * inode_size in
+          let* s = peek_block t (t.itable_start + (ino / inodes_per_block t)) in
+          if s.[off + 1] <> '\001' then Error (Not_a_directory path)
+          else begin
+            let size = get_u32 s (off + 2) in
+            let first = get_u32 s (off + 48) in
+            let* child =
+              if size = 0 then Ok (-1)
+              else if size > t.block_size then
+                let* data = read_inode_data t (decode_inode s off) ~off:0 ~len:size in
+                Ok (find_entry data ~len:size name)
+              else if first = 0 then Ok (-1)
+              else
+                let* d = peek_block t first in
+                Ok (find_entry d ~len:size name)
+            in
+            if child < 0 then Error (Not_found_e path) else walk child rest
+          end
+        end
     in
     walk t.root_ino components
 

@@ -97,7 +97,7 @@ let clear_pasid t ~pasid =
   | Some tlb -> Tlb.invalidate_pasid tlb ~pasid);
   fire_invalidate t ~pasid
 
-(* Hoisted constants: [translate] runs per DMA byte, and building a fresh
+(* Hoisted constants: [translate] runs per DMA access, and building a fresh
    permission record per call would allocate on every access. *)
 let need_read = Types.perm_r
 let need_write = { Types.read = false; write = true; exec = false }
@@ -146,21 +146,19 @@ let page_off_mask = Int64.to_int Layout.page_mask
    faults) are digest material and exactly match the pre-probe
    implementation — [translate] below is the same code path, so the two
    entry points cannot drift. *)
+let translate_miss t ~pasid ~vai ~access ~need ~vpn =
+  match translate_walk t ~pasid ~va:(Int64.of_int vai) ~access ~need ~vpn with
+  | Ok_pa pa -> Int64.to_int pa
+  | Fault f ->
+    t.last_fault <- Some f;
+    -1
+
 let translate_pa t ~pasid ~vai ~access =
   Metrics.incr t.m_translations;
   let need = access_perm access in
-  let slow ~vpn =
-    match
-      translate_walk t ~pasid ~va:(Int64.of_int vai) ~access ~need ~vpn
-    with
-    | Ok_pa pa -> Int64.to_int pa
-    | Fault f ->
-      t.last_fault <- Some f;
-      -1
-  in
+  let vpn_i = vai lsr Layout.page_bits in
   match t.tlb with
   | Some tlb ->
-    let vpn_i = vai lsr Layout.page_bits in
     let ppn = Tlb.probe tlb ~pasid ~vpn:vpn_i in
     if ppn >= 0 then begin
       if Proto_perm.subsumes (Tlb.probe_perm tlb) need then
@@ -177,8 +175,27 @@ let translate_pa t ~pasid ~vai ~access =
         | Ok_pa _ -> assert false
       end
     end
-    else slow ~vpn:(Int64.of_int vpn_i)
-  | None -> slow ~vpn:(Int64.of_int (vai lsr Layout.page_bits))
+    else translate_miss t ~pasid ~vai ~access ~need ~vpn:(Int64.of_int vpn_i)
+  | None -> translate_miss t ~pasid ~vai ~access ~need ~vpn:(Int64.of_int vpn_i)
+
+(* [len] per-byte translations of [vai, vai+len), which must lie inside
+   one page, at the host cost of one: the first byte takes the full
+   [translate_pa] path (TLB probe or walk and refill, fault delivery),
+   and the rest are the same-page hits that byte left behind. Without a
+   TLB every byte walks, so each is translated in turn. *)
+let translate_span t ~pasid ~vai ~len ~access =
+  let pa = translate_pa t ~pasid ~vai ~access in
+  if pa >= 0 && len > 1 then begin
+    match t.tlb with
+    | Some tlb ->
+      Metrics.incr ~by:(len - 1) t.m_translations;
+      Tlb.repeat_hit tlb (len - 1)
+    | None ->
+      for i = 1 to len - 1 do
+        ignore (translate_pa t ~pasid ~vai:(vai + i) ~access)
+      done
+  end;
+  pa
 
 let last_fault t =
   match t.last_fault with
@@ -215,6 +232,7 @@ let iter_mappings t ~pasid f =
 let tlb_hits t = match t.tlb with None -> 0 | Some tlb -> Tlb.hits tlb
 let tlb_misses t = match t.tlb with None -> 0 | Some tlb -> Tlb.misses tlb
 let tlb_evictions t = match t.tlb with None -> 0 | Some tlb -> Tlb.evictions tlb
+let tlb_probes t = match t.tlb with None -> 0 | Some tlb -> Tlb.probes tlb
 let translations t = Metrics.counter_value t.m_translations
 let walks t = Metrics.counter_value t.m_walks
 let walk_levels t = Metrics.counter_value t.m_walk_levels

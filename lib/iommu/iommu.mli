@@ -73,11 +73,20 @@ val translate : t -> pasid:int -> va:int64 -> access:access -> translate_result
     this returns. *)
 
 val translate_pa : t -> pasid:int -> vai:int -> access:access -> int
-(** Allocation-free [translate] for per-byte DMA: native-int virtual
+(** Allocation-free [translate] for the DMA hot paths: native-int virtual
     address in, physical address out, or [-1] on a fault (read
     {!last_fault} for the record; handlers have already run). Identical
     counter and fault-delivery effects to [translate] — it is the same
     code path. *)
+
+val translate_span :
+  t -> pasid:int -> vai:int -> len:int -> access:access -> int
+(** [len] consecutive {!translate_pa} calls over [vai, vai+len), which
+    must lie inside one page, for one host TLB lookup: the physical
+    address of [vai], or [-1] if that first byte faults (then nothing
+    further is charged). Counters, the TLB clock and the hit slot's LRU
+    stamp end exactly where the per-byte calls would leave them. Without
+    a TLB each byte is walked in turn. *)
 
 val last_fault : t -> fault
 (** The fault behind the most recent [-1] from [translate_pa].
@@ -102,6 +111,9 @@ val iter_mappings : t -> pasid:int -> (va:int64 -> pa:int64 -> unit) -> unit
 val tlb_hits : t -> int
 val tlb_misses : t -> int
 val tlb_evictions : t -> int
+val tlb_probes : t -> int
+(** Host-side TLB lookups ({!Tlb.probes}); 0 without a TLB. *)
+
 val translations : t -> int
 (** Total [translate] calls (TLB hits + misses + no-TLB walks). *)
 

@@ -1,6 +1,6 @@
 type entry = { ppn : int64; perm : Proto_perm.t }
 
-(* Slots hold page numbers as native ints: every DMA byte access funnels
+(* Slots hold page numbers as native ints: every DMA translation funnels
    through [probe], and boxed Int64 keys would put ~10 minor-heap
    allocations on that path. Page numbers are < 2^51 in this simulation,
    so the conversion at the (cold) int64 API boundary is exact. *)
@@ -20,7 +20,8 @@ type t = {
   ways : int;
   slots : slot array array;  (* sets x ways *)
   mutable clock : int;
-  mutable last_perm : Proto_perm.t;  (* perms of the latest [probe] hit *)
+  mutable last : slot;  (* the slot of the latest [probe] hit or [insert] *)
+  mutable probes : int;  (* host-side [probe] calls; not modeled state *)
   m_hits : Metrics.counter;
   m_misses : Metrics.counter;
   m_evictions : Metrics.counter;
@@ -38,12 +39,14 @@ let create ?(sets = 64) ?(ways = 4) ?metrics ?(actor = "tlb") () =
   (* Without a shared registry (standalone unit tests), counters live in a
      private one so the hot path never branches on an option. *)
   let m = match metrics with Some m -> m | None -> Metrics.create () in
+  let slots = Array.init sets (fun _ -> Array.init ways (fun _ -> mk_slot ())) in
   {
     sets;
     ways;
-    slots = Array.init sets (fun _ -> Array.init ways (fun _ -> mk_slot ()));
+    slots;
     clock = 0;
-    last_perm = perm_none;
+    last = slots.(0).(0);
+    probes = 0;
     m_hits = Metrics.counter m ~actor ~name:"tlb_hits";
     m_misses = Metrics.counter m ~actor ~name:"tlb_misses";
     m_evictions = Metrics.counter m ~actor ~name:"tlb_evictions";
@@ -63,33 +66,42 @@ let tick t =
    the caller's job, via [probe_perm] — or -1 on a miss. Counter and LRU
    effects are exactly those of [lookup]: a tag match counts as a hit
    even if the permissions later prove insufficient. *)
-let probe t ~pasid ~vpn =
-  let set = Array.unsafe_get t.slots (set_index t ~pasid ~vpn) in
-  let n = Array.length set in
-  let rec go i =
-    if i >= n then begin
-      Metrics.incr t.m_misses;
-      -1
+let rec probe_ways t set ~pasid ~vpn i =
+  if i >= Array.length set then begin
+    Metrics.incr t.m_misses;
+    -1
+  end
+  else begin
+    let s = Array.unsafe_get set i in
+    if s.valid && s.pasid = pasid && s.vpn = vpn then begin
+      s.lru <- tick t;
+      t.last <- s;
+      Metrics.incr t.m_hits;
+      s.ppn
     end
-    else begin
-      let s = Array.unsafe_get set i in
-      if s.valid && s.pasid = pasid && s.vpn = vpn then begin
-        s.lru <- tick t;
-        t.last_perm <- s.perm;
-        Metrics.incr t.m_hits;
-        s.ppn
-      end
-      else go (i + 1)
-    end
-  in
-  go 0
+    else probe_ways t set ~pasid ~vpn (i + 1)
+  end
 
-let probe_perm t = t.last_perm
+let probe t ~pasid ~vpn =
+  t.probes <- t.probes + 1;
+  probe_ways t (Array.unsafe_get t.slots (set_index t ~pasid ~vpn)) ~pasid ~vpn 0
+
+let probe_perm t = t.last.perm
+
+(* [n] more hits on the slot the latest [probe] hit or [insert] filled:
+   the counter and LRU effects of [n] further [probe]s of that page, with
+   one host lookup instead of [n]. *)
+let repeat_hit t n =
+  t.clock <- t.clock + n;
+  t.last.lru <- t.clock;
+  Metrics.incr ~by:n t.m_hits
+
+let probes t = t.probes
 
 let lookup t ~pasid ~vpn =
   let ppn = probe t ~pasid ~vpn:(Int64.to_int vpn) in
   if ppn < 0 then None
-  else Some { ppn = Int64.of_int ppn; perm = t.last_perm }
+  else Some { ppn = Int64.of_int ppn; perm = t.last.perm }
 
 let insert t ~pasid ~vpn (e : entry) =
   let vpn = Int64.to_int vpn in
@@ -111,7 +123,8 @@ let insert t ~pasid ~vpn (e : entry) =
   s.vpn <- vpn;
   s.ppn <- ppn;
   s.perm <- e.perm;
-  s.lru <- tick t
+  s.lru <- tick t;
+  t.last <- s
 
 let invalidate_page t ~pasid ~vpn =
   let vpn = Int64.to_int vpn in

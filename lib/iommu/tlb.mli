@@ -34,6 +34,17 @@ val probe_perm : t -> Proto_perm.t
 (** Permissions of the most recent [probe] hit. Only meaningful directly
     after a non-negative [probe] return. *)
 
+val repeat_hit : t -> int -> unit
+(** [repeat_hit t n] charges [n] further hits on the slot the latest
+    [probe] hit or [insert] filled: the hit counter and the LRU clock
+    advance by [n], and that slot's stamp becomes the new clock — exactly
+    what [n] more [probe]s of the same page would do. Only meaningful
+    directly after a hit or an insert. *)
+
+val probes : t -> int
+(** Host-side count of [probe] calls (host-cost observability: not a
+    registry counter, not saved in checkpoints). *)
+
 val insert : t -> pasid:int -> vpn:int64 -> entry -> unit
 val invalidate_page : t -> pasid:int -> vpn:int64 -> unit
 val invalidate_pasid : t -> pasid:int -> unit

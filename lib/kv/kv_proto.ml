@@ -13,24 +13,52 @@ type reply =
 
 type response = { corr : int; reply : reply }
 
-let encode_request { corr; op } =
-  let w = Wire.Writer.create () in
-  Wire.Writer.varint w corr;
-  (match op with
-  | Get key ->
-    Wire.Writer.byte w 0;
-    Wire.Writer.string w key
-  | Put (key, value) ->
-    Wire.Writer.byte w 1;
-    Wire.Writer.string w key;
-    Wire.Writer.string w value
-  | Del key ->
-    Wire.Writer.byte w 2;
-    Wire.Writer.string w key
-  | Scan prefix ->
-    Wire.Writer.byte w 3;
-    Wire.Writer.string w prefix);
-  Wire.Writer.contents w
+(* One byte layout per message, sized by [Wire.Sizer] and written once
+   into an exact-size buffer by [Wire.Bytes_writer]. *)
+module Emit (W : Wire.SINK) = struct
+  let request w { corr; op } =
+    W.varint w corr;
+    match op with
+    | Get key ->
+      W.byte w 0;
+      W.string w key
+    | Put (key, value) ->
+      W.byte w 1;
+      W.string w key;
+      W.string w value
+    | Del key ->
+      W.byte w 2;
+      W.string w key
+    | Scan prefix ->
+      W.byte w 3;
+      W.string w prefix
+
+  let response w { corr; reply } =
+    W.varint w corr;
+    match reply with
+    | Value v ->
+      W.byte w 0;
+      W.option w W.string v
+    | Done -> W.byte w 1
+    | Deleted b ->
+      W.byte w 2;
+      W.bool w b
+    | Pairs pairs ->
+      W.byte w 3;
+      W.list w
+        (fun w (k, v) ->
+          W.string w k;
+          W.string w v)
+        pairs
+    | Failed m ->
+      W.byte w 4;
+      W.string w m
+end
+
+module Emit_size = Emit (Wire.Sizer)
+module Emit_bytes = Emit (Wire.Bytes_writer)
+
+let encode_request r = Wire.encode_sized Emit_size.request Emit_bytes.request r
 
 let decode_request s =
   match
@@ -52,28 +80,8 @@ let decode_request s =
   | v -> Ok v
   | exception Wire.Malformed m -> Error m
 
-let encode_response { corr; reply } =
-  let w = Wire.Writer.create () in
-  Wire.Writer.varint w corr;
-  (match reply with
-  | Value v ->
-    Wire.Writer.byte w 0;
-    Wire.Writer.option w Wire.Writer.string v
-  | Done -> Wire.Writer.byte w 1
-  | Deleted b ->
-    Wire.Writer.byte w 2;
-    Wire.Writer.bool w b
-  | Pairs pairs ->
-    Wire.Writer.byte w 3;
-    Wire.Writer.list w
-      (fun w (k, v) ->
-        Wire.Writer.string w k;
-        Wire.Writer.string w v)
-      pairs
-  | Failed m ->
-    Wire.Writer.byte w 4;
-    Wire.Writer.string w m);
-  Wire.Writer.contents w
+let encode_response r =
+  Wire.encode_sized Emit_size.response Emit_bytes.response r
 
 let decode_response s =
   match

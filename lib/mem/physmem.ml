@@ -17,12 +17,12 @@ type t = {
   size_i : int;  (* [size] as a native int, for the byte-access fast path *)
   chunks : (int64, view) Hashtbl.t;  (* chunk number -> backing store *)
   touched : (int64, unit) Hashtbl.t; (* frame numbers materialised so far *)
-  (* One-entry caches for the per-byte DMA path. [read_u8]/[write_u8] run
-     for every descriptor and ring byte a device touches; an int64-keyed
-     [Hashtbl.find_opt] per byte (polymorphic hash of a boxed key) would
-     dominate the whole access. Pure host-side memoisation: the cached
-     chunk is the same Bigarray the table holds, and the touched-page
-     cache only skips idempotent set re-insertions. *)
+  (* One-entry caches for the ring-field path. [load]/[store] run for
+     every descriptor, ring index and used element a device touches; an
+     int64-keyed [Hashtbl.find_opt] per field (polymorphic hash of a
+     boxed key) would dominate the whole access. Pure host-side
+     memoisation: the cached chunk is the same Bigarray the table holds,
+     and the touched-page cache only skips idempotent set re-insertions. *)
   mutable last_cnum : int;           (* -1 = invalid *)
   mutable last_chunk : view;
   mutable last_touched : int;        (* frame number, -1 = invalid *)
@@ -98,8 +98,6 @@ let touch_range t addr len =
     done
   end
 
-(* Native-int byte accessors — the form the DMA per-byte path calls so
-   no boxed address crosses the module boundary. *)
 let read_byte t ai =
   if ai < 0 || ai >= t.size_i then check t (Int64.of_int ai) 1;
   let cnum = ai lsr chunk_bits in
@@ -120,6 +118,37 @@ let write_byte t ai v =
   let c = chunk_c t (ai lsr chunk_bits) in
   Bigarray.Array1.unsafe_set c (ai land (chunk_bytes - 1))
     (Char.unsafe_chr (v land 0xff))
+
+(* Native-int copies of a few bytes inside one frame (a ring field),
+   with the same cache, range check and touch rules as the byte
+   accessors: one chunk lookup per field instead of one per byte. *)
+let copy_out (c : view) off buf pos len =
+  for i = 0 to len - 1 do
+    Bytes.unsafe_set buf (pos + i) (Bigarray.Array1.unsafe_get c (off + i))
+  done
+
+let load t ai buf ~pos ~len =
+  if ai < 0 || ai + len > t.size_i then check t (Int64.of_int ai) len;
+  let cnum = ai lsr chunk_bits in
+  let off = ai land (chunk_bytes - 1) in
+  if cnum = t.last_cnum then copy_out t.last_chunk off buf pos len
+  else begin
+    match Hashtbl.find_opt t.chunks (Int64.of_int cnum) with
+    | None -> Bytes.fill buf pos len '\000'
+    | Some c ->
+      t.last_cnum <- cnum;
+      t.last_chunk <- c;
+      copy_out c off buf pos len
+  end
+
+let store t ai buf ~pos ~len =
+  if ai < 0 || ai + len > t.size_i then check t (Int64.of_int ai) len;
+  mark_touched t (ai lsr Layout.page_bits);
+  let c = chunk_c t (ai lsr chunk_bits) in
+  let off = ai land (chunk_bytes - 1) in
+  for i = 0 to len - 1 do
+    Bigarray.Array1.unsafe_set c (off + i) (Bytes.unsafe_get buf (pos + i))
+  done
 
 let read_u8 t addr = read_byte t (Int64.to_int addr)
 let write_u8 t addr v = write_byte t (Int64.to_int addr) v

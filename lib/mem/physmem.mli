@@ -24,13 +24,17 @@ val size : t -> int64
 val read_u8 : t -> int64 -> int
 val write_u8 : t -> int64 -> int -> unit
 
-(** Native-int forms of [read_u8]/[write_u8], for per-byte hot paths
-    where a boxed address per access would dominate. Physical addresses
-    fit a native int (DRAM is well under 2^62 bytes). *)
+val load : t -> int -> Bytes.t -> pos:int -> len:int -> unit
+(** [load t a buf ~pos ~len] copies the [len] bytes at native-int address
+    [a], which must lie inside one frame, into [buf] at [pos]: the byte
+    accessors' effect with one backing lookup for the whole field (a ring
+    element). Physical addresses fit a native int (DRAM is well under
+    2^62 bytes), so no boxed address crosses the module boundary. *)
 
-val read_byte : t -> int -> int
+val store : t -> int -> Bytes.t -> pos:int -> len:int -> unit
+(** The write counterpart of {!load}: marks the frame touched, like
+    [write_byte]. *)
 
-val write_byte : t -> int -> int -> unit
 val read_u64 : t -> int64 -> int64
 (** Little-endian, may span frames. *)
 

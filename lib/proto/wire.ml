@@ -209,6 +209,13 @@ module Bytes_writer = struct
   let pos t = t.pos
 end
 
+let encode_sized size emit x =
+  let s = Sizer.create () in
+  size s x;
+  let b = Bytes.create (Sizer.size s) in
+  emit (Bytes_writer.create b) x;
+  Bytes.unsafe_to_string b
+
 (* Cursor writing into a caller-provided slice (a DRAM view, a virtqueue
    slot): the encoded bytes land directly in backing memory, no
    intermediate string. Running off the end of the slice raises

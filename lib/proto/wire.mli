@@ -102,6 +102,13 @@ module Bytes_writer : sig
   (** Next write offset. *)
 end
 
+val encode_sized :
+  (Sizer.t -> 'a -> unit) -> (Bytes_writer.t -> 'a -> unit) -> 'a -> string
+(** [encode_sized size emit x] runs one layout twice — through a {!Sizer},
+    then into a buffer of exactly that size — and returns the bytes: a
+    codec's [Emit (Sizer)] and [Emit (Bytes_writer)] instances make a
+    one-allocation string encoder. *)
+
 (** Cursor writing into a caller-provided slice (a DRAM view, a virtqueue
     slot): encoded bytes land directly in backing memory. Overflowing the
     slice raises [Malformed]. *)

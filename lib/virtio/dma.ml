@@ -16,6 +16,7 @@ type t = {
   pasid : int;
   mem : Physmem.t;
   mutable access_count : int;
+  field : Bytes.t;  (* bounce buffer of the int accessors *)
   grants : (int64 * int * int, grant) Hashtbl.t;  (* va, len, access tag *)
   mutable dmi_hits : int;
   mutable dmi_invalidations : int;
@@ -28,6 +29,7 @@ let create ~iommu ~pasid ~mem =
       pasid;
       mem;
       access_count = 0;
+      field = Bytes.create 8;
       grants = Hashtbl.create 16;
       dmi_hits = 0;
       dmi_invalidations = 0;
@@ -48,63 +50,67 @@ let translate t va access =
   | Iommu.Ok_pa pa -> pa
   | Iommu.Fault f -> raise (Dma_fault f)
 
-(* Per-byte accessors stay on native ints end to end (address translation
-   included): descriptor and ring traffic funnels through here one byte
-   at a time, and boxing an Int64 per byte would dominate the simulation.
-   Simulated VAs are far below 2^62, so the round trips are exact. *)
-let translate_i t vai access =
+(* Field accessors (DESIGN.md §14 "Ring fields"). The modeled cost of a
+   field access is one translation per byte — that is what the IOMMU and
+   TLB counters, the TLB's LRU stamps and [accesses] record, and they are
+   digest material. The host pays one TLB lookup per page fragment
+   instead: [Iommu.translate_span] charges the fragment's remaining bytes
+   as the same-page hits the first byte left behind, and [Physmem.load]/
+   [store] move the bytes with one backing lookup. Native ints end to end:
+   ring traffic is the hottest DMA path, and simulated VAs are far below
+   2^62. *)
+let page_bytes = Int64.to_int Layout.page_size
+let page_off_mask = page_bytes - 1
+
+let span t vai len access =
   t.access_count <- t.access_count + 1;
-  let pa = Iommu.translate_pa t.iommu ~pasid:t.pasid ~vai ~access in
-  if pa >= 0 then pa else raise (Dma_fault (Iommu.last_fault t.iommu))
+  let pa = Iommu.translate_span t.iommu ~pasid:t.pasid ~vai ~len ~access in
+  if pa < 0 then raise (Dma_fault (Iommu.last_fault t.iommu));
+  t.access_count <- t.access_count + len - 1;
+  pa
 
-let read_byte t vai = Physmem.read_byte t.mem (translate_i t vai Iommu.Read)
+(* A fragment that faults stops the access with the earlier fragments
+   done, as the byte-at-a-time order would. *)
+let rec load t vai buf ~pos ~len =
+  if len > 0 then begin
+    let n = min len (page_bytes - (vai land page_off_mask)) in
+    Physmem.load t.mem (span t vai n Iommu.Read) buf ~pos ~len:n;
+    load t (vai + n) buf ~pos:(pos + n) ~len:(len - n)
+  end
 
-let write_byte t vai v =
-  Physmem.write_byte t.mem (translate_i t vai Iommu.Write) v
+let rec store t vai buf ~pos ~len =
+  if len > 0 then begin
+    let n = min len (page_bytes - (vai land page_off_mask)) in
+    Physmem.store t.mem (span t vai n Iommu.Write) buf ~pos ~len:n;
+    store t (vai + n) buf ~pos:(pos + n) ~len:(len - n)
+  end
 
-let read_u8 t va = read_byte t (Int64.to_int va)
-let write_u8 t va v = write_byte t (Int64.to_int va) v
+let get t va len =
+  load t (Int64.to_int va) t.field ~pos:0 ~len;
+  t.field
 
-let read_uint t va n =
-  let vai = Int64.to_int va in
-  let v = ref 0 in
-  for i = 0 to n - 1 do
-    v := !v lor (read_byte t (vai + i) lsl (i * 8))
-  done;
-  !v
+let put t va len = store t (Int64.to_int va) t.field ~pos:0 ~len
 
-let write_uint t va n v =
-  let vai = Int64.to_int va in
-  for i = 0 to n - 1 do
-    write_byte t (vai + i) ((v lsr (i * 8)) land 0xff)
-  done
+let read_u8 t va = Bytes.get_uint8 (get t va 1) 0
+let read_u16 t va = Bytes.get_uint16_le (get t va 2) 0
+let read_u32 t va = Int32.to_int (Bytes.get_int32_le (get t va 4) 0) land 0xffff_ffff
+let read_u64 t va = Bytes.get_int64_le (get t va 8) 0
 
-let read_u16 t va = read_uint t va 2
-let write_u16 t va v = write_uint t va 2 v
-let read_u32 t va = read_uint t va 4
-let write_u32 t va v = write_uint t va 4 v
+let write_u8 t va v =
+  Bytes.set_uint8 t.field 0 (v land 0xff);
+  put t va 1
 
-let read_u64 t va =
-  let vai = Int64.to_int va in
-  let lo = ref 0 and hi = ref 0 in
-  for i = 0 to 3 do
-    lo := !lo lor (read_byte t (vai + i) lsl (i * 8))
-  done;
-  for i = 4 to 7 do
-    hi := !hi lor (read_byte t (vai + i) lsl ((i - 4) * 8))
-  done;
-  Int64.logor (Int64.of_int !lo) (Int64.shift_left (Int64.of_int !hi) 32)
+let write_u16 t va v =
+  Bytes.set_uint16_le t.field 0 (v land 0xffff);
+  put t va 2
+
+let write_u32 t va v =
+  Bytes.set_int32_le t.field 0 (Int32.of_int v);
+  put t va 4
 
 let write_u64 t va v =
-  let vai = Int64.to_int va in
-  let lo = Int64.to_int (Int64.logand v 0xFFFFFFFFL) in
-  let hi = Int64.to_int (Int64.shift_right_logical v 32) in
-  for i = 0 to 3 do
-    write_byte t (vai + i) ((lo lsr (i * 8)) land 0xff)
-  done;
-  for i = 4 to 7 do
-    write_byte t (vai + i) ((hi lsr ((i - 4) * 8)) land 0xff)
-  done
+  Bytes.set_int64_le t.field 0 v;
+  put t va 8
 
 let read_into t va out ~pos ~len =
   let rec go va dst_off remaining =
@@ -151,7 +157,6 @@ let write_bytes_sub t va b ~pos ~len =
 
 (* --- DMI fast path ----------------------------------------------------- *)
 
-let page_bytes = Int64.to_int Layout.page_size
 let access_tag = function Iommu.Read -> 0 | Iommu.Write -> 1 | Iommu.Exec -> 2
 
 (* The zero-copy contract (DESIGN.md §14): [map_direct] replays exactly

@@ -17,6 +17,23 @@ val create :
 
 val pasid : t -> int
 
+val load : t -> int -> Bytes.t -> pos:int -> len:int -> unit
+(** [load t va buf ~pos ~len] reads [len] bytes at native-int virtual
+    address [va] into [buf] at [pos]. Charged exactly as [len] one-byte
+    reads: each byte is one translation and one {!accesses} tick, and the
+    TLB counters, clock and LRU stamps advance as [len] per-byte lookups
+    would — for one host TLB lookup per page the range touches. Raises
+    {!Dma_fault} where the byte-at-a-time read would, with the same
+    counts. The form ring fields (descriptors, ring indices, used
+    elements) take. *)
+
+val store : t -> int -> Bytes.t -> pos:int -> len:int -> unit
+(** The write counterpart of {!load}: [len] bytes of [buf] from [pos]. A
+    range whose second page faults keeps the bytes written to the first,
+    as a byte-at-a-time write would. *)
+
+(** Fixed-width little-endian fields, through {!load}/{!store}. *)
+
 val read_u8 : t -> int64 -> int
 val write_u8 : t -> int64 -> int -> unit
 val read_u16 : t -> int64 -> int

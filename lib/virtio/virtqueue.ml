@@ -14,63 +14,75 @@ let check_size size =
   if size <= 0 || size > 32768 || size land (size - 1) <> 0 then
     invalid_arg "Virtqueue: size must be a power of two in [1, 32768]"
 
-let desc_off i = Int64.of_int (16 * i)
-let avail_off size = Int64.of_int (16 * size)
-let avail_ring_off size i = Int64.add (avail_off size) (Int64.of_int (4 + (2 * i)))
+let avail_off size = 16 * size
+let avail_ring_off size i = avail_off size + 4 + (2 * i)
 
 let used_off size =
   let avail_end = (16 * size) + 4 + (2 * size) in
-  Int64.of_int ((avail_end + 3) land lnot 3)
+  (avail_end + 3) land lnot 3
 
-let used_ring_off size i = Int64.add (used_off size) (Int64.of_int (4 + (8 * i)))
+let used_ring_off size i = used_off size + 4 + (8 * i)
 
 let layout_bytes ~size =
   check_size size;
-  Int64.to_int (used_off size) + 4 + (8 * size)
+  used_off size + 4 + (8 * size)
 
-(* Shared accessors over a DMA view rooted at [base]. *)
+(* Shared accessors over a DMA view rooted at [base]. Each ring element —
+   a descriptor, a ring index, an avail or used entry — moves as one
+   {!Dma.load}/{!Dma.store} through [buf]: charged per byte, translated
+   once (DESIGN.md §14 "Ring fields"). Decode fields right after the load
+   that filled [buf]; the next access reuses it. *)
 module Raw = struct
-  type t = { dma : Dma.t; base : int64; size : int }
+  type t = { dma : Dma.t; base : int; size : int; buf : Bytes.t }
 
-  let addr t off = Int64.add t.base off
-  let read_u16 t off = Dma.read_u16 t.dma (addr t off)
-  let write_u16 t off v = Dma.write_u16 t.dma (addr t off) v
-  let read_u32 t off = Dma.read_u32 t.dma (addr t off)
-  let write_u32 t off v = Dma.write_u32 t.dma (addr t off) v
-  let read_u64 t off = Dma.read_u64 t.dma (addr t off)
-  let write_u64 t off v = Dma.write_u64 t.dma (addr t off) v
+  let make dma ~base ~size =
+    { dma; base = Int64.to_int base; size; buf = Bytes.create 16 }
 
-  let read_desc t i =
-    let off = desc_off i in
-    let va = read_u64 t off in
-    let len = read_u32 t (Int64.add off 8L) in
-    let flags = read_u16 t (Int64.add off 12L) in
-    let next = read_u16 t (Int64.add off 14L) in
-    (va, len, flags, next)
+  let base t = Int64.of_int t.base
+  let load t va len = Dma.load t.dma va t.buf ~pos:0 ~len
+  let store t va len = Dma.store t.dma va t.buf ~pos:0 ~len
+  let u16 t pos = Bytes.get_uint16_le t.buf pos
+  let u32 t pos = Int32.to_int (Bytes.get_int32_le t.buf pos) land 0xffff_ffff
 
-  let write_desc t i ~va ~len ~flags ~next =
-    let off = desc_off i in
-    write_u64 t off va;
-    write_u32 t (Int64.add off 8L) len;
-    write_u16 t (Int64.add off 12L) flags;
-    write_u16 t (Int64.add off 14L) next
+  let read_u16 t off =
+    load t (t.base + off) 2;
+    u16 t 0
 
-  let avail_idx t = read_u16 t (Int64.add (avail_off t.size) 2L)
-  let set_avail_idx t v = write_u16 t (Int64.add (avail_off t.size) 2L) (v land 0xffff)
+  let write_u16 t off v =
+    Bytes.set_uint16_le t.buf 0 (v land 0xffff);
+    store t (t.base + off) 2
+
+  (* The descriptor last loaded, from the ring's table or an indirect
+     one: addr u64 | len u32 | flags u16 | next u16. *)
+  let desc_addr t = Bytes.get_int64_le t.buf 0
+  let desc_len t = u32 t 8
+  let desc_flags t = u16 t 12
+  let desc_next t = u16 t 14
+
+  let store_desc t va ~addr ~len ~flags ~next =
+    Bytes.set_int64_le t.buf 0 addr;
+    Bytes.set_int32_le t.buf 8 (Int32.of_int len);
+    Bytes.set_uint16_le t.buf 12 (flags land 0xffff);
+    Bytes.set_uint16_le t.buf 14 (next land 0xffff);
+    store t va 16
+
+  let desc_va t i = t.base + (16 * i)
+  let avail_idx t = read_u16 t (avail_off t.size + 2)
+  let set_avail_idx t v = write_u16 t (avail_off t.size + 2) v
   let avail_ring t i = read_u16 t (avail_ring_off t.size i)
   let set_avail_ring t i v = write_u16 t (avail_ring_off t.size i) v
-  let used_idx t = read_u16 t (Int64.add (used_off t.size) 2L)
-  let set_used_idx t v = write_u16 t (Int64.add (used_off t.size) 2L) (v land 0xffff)
-  let used_flags t = read_u16 t (used_off t.size)
+  let used_idx t = read_u16 t (used_off t.size + 2)
+  let set_used_idx t v = write_u16 t (used_off t.size + 2) v
 
+  (* A used element: id u32 | len u32. *)
   let used_ring t i =
-    let off = used_ring_off t.size i in
-    (read_u32 t off, read_u32 t (Int64.add off 4L))
+    load t (t.base + used_ring_off t.size i) 8;
+    (u32 t 0, u32 t 4)
 
   let set_used_ring t i ~id ~len =
-    let off = used_ring_off t.size i in
-    write_u32 t off id;
-    write_u32 t (Int64.add off 4L) len
+    Bytes.set_int32_le t.buf 0 (Int32.of_int id);
+    Bytes.set_int32_le t.buf 4 (Int32.of_int len);
+    store t (t.base + used_ring_off t.size i) 8
 end
 
 module Driver = struct
@@ -87,7 +99,7 @@ module Driver = struct
 
   let create ~dma ~base ~size =
     check_size size;
-    let raw = { Raw.dma; base; size } in
+    let raw = Raw.make dma ~base ~size in
     (* Zero the ring indices; descriptor contents are written on add. *)
     Raw.write_u16 raw (avail_off size) 0;
     Raw.set_avail_idx raw 0;
@@ -108,120 +120,113 @@ module Driver = struct
   let size t = t.raw.Raw.size
   let num_free t = t.free_count
 
+  (* VIRTIO requires read-only segments before device-writable ones. *)
+  let rec ordered seen_writable = function
+    | [] -> true
+    | b :: rest ->
+      if b.writable then ordered true rest
+      else if seen_writable then false
+      else ordered false rest
+
+  (* Publish [head] on the available ring, then bump idx (the ordering
+     that makes the lock-free handoff correct on real hardware). *)
+  let publish t head =
+    Raw.set_avail_ring t.raw (t.avail_shadow land (size t - 1)) head;
+    t.avail_shadow <- t.avail_shadow + 1;
+    Raw.set_avail_idx t.raw t.avail_shadow
+
   let add t buffers =
     let n = List.length buffers in
     if n = 0 then Error "empty chain"
     else if n > t.free_count then Error "out of descriptors"
+    else if not (ordered false buffers) then
+      Error "read-only segment after writable segment"
     else begin
-      (* VIRTIO requires read-only segments before device-writable ones. *)
-      let rec ordered seen_writable = function
-        | [] -> true
+      let head = t.free_head in
+      let rec fill i = function
+        | [] -> assert false
+        | [ b ] ->
+          Raw.store_desc t.raw (Raw.desc_va t.raw i) ~addr:b.va ~len:b.len
+            ~flags:(if b.writable then desc_f_write else 0)
+            ~next:0;
+          t.free_head <- t.next_free.(i)
         | b :: rest ->
-          if b.writable then ordered true rest
-          else if seen_writable then false
-          else ordered false rest
+          let next = t.next_free.(i) in
+          Raw.store_desc t.raw (Raw.desc_va t.raw i) ~addr:b.va ~len:b.len
+            ~flags:(desc_f_next lor if b.writable then desc_f_write else 0)
+            ~next;
+          fill next rest
       in
-      if not (ordered false buffers) then
-        Error "read-only segment after writable segment"
-      else begin
-        let head = t.free_head in
-        let rec fill i = function
-          | [] -> assert false
-          | [ b ] ->
-            Raw.write_desc t.raw i ~va:b.va ~len:b.len
-              ~flags:(if b.writable then desc_f_write else 0)
-              ~next:0;
-            t.free_head <- t.next_free.(i)
-          | b :: rest ->
-            let next = t.next_free.(i) in
-            Raw.write_desc t.raw i ~va:b.va ~len:b.len
-              ~flags:(desc_f_next lor if b.writable then desc_f_write else 0)
-              ~next;
-            fill next rest
-        in
-        fill head buffers;
-        t.free_count <- t.free_count - n;
-        t.chain_len.(head) <- n;
-        (* Publish on the available ring, then bump idx (the ordering that
-           makes the lock-free handoff correct on real hardware). *)
-        Raw.set_avail_ring t.raw (t.avail_shadow mod size t) head;
-        t.avail_shadow <- t.avail_shadow + 1;
-        Raw.set_avail_idx t.raw t.avail_shadow;
-        Ok head
-      end
+      fill head buffers;
+      t.free_count <- t.free_count - n;
+      t.chain_len.(head) <- n;
+      publish t head;
+      Ok head
     end
 
   let add_indirect t ~table_va buffers =
     let n = List.length buffers in
     if n = 0 then Error "empty chain"
     else if 1 > t.free_count then Error "out of descriptors"
+    else if not (ordered false buffers) then
+      Error "read-only segment after writable segment"
     else begin
-      let rec ordered seen_writable = function
-        | [] -> true
-        | b :: rest ->
-          if b.writable then ordered true rest
-          else if seen_writable then false
-          else ordered false rest
-      in
-      if not (ordered false buffers) then
-        Error "read-only segment after writable segment"
-      else begin
-        (* Write the indirect table into driver memory: sequential
-           entries, NEXT-chained as the spec requires. *)
-        List.iteri
-          (fun i b ->
-            let off = Int64.add table_va (Int64.of_int (16 * i)) in
-            Dma.write_u64 t.raw.Raw.dma off b.va;
-            Dma.write_u32 t.raw.Raw.dma (Int64.add off 8L) b.len;
-            Dma.write_u16 t.raw.Raw.dma (Int64.add off 12L)
+      (* Write the indirect table into driver memory: sequential
+         entries, NEXT-chained as the spec requires. *)
+      let table = Int64.to_int table_va in
+      List.iteri
+        (fun i b ->
+          Raw.store_desc t.raw (table + (16 * i)) ~addr:b.va ~len:b.len
+            ~flags:
               ((if i < n - 1 then desc_f_next else 0)
-              lor if b.writable then desc_f_write else 0);
-            Dma.write_u16 t.raw.Raw.dma (Int64.add off 14L)
-              (if i < n - 1 then i + 1 else 0))
-          buffers;
-        let head = t.free_head in
-        Raw.write_desc t.raw head ~va:table_va ~len:(16 * n)
-          ~flags:desc_f_indirect ~next:0;
-        t.free_head <- t.next_free.(head);
-        t.free_count <- t.free_count - 1;
-        t.chain_len.(head) <- 1;
-        Raw.set_avail_ring t.raw (t.avail_shadow mod size t) head;
-        t.avail_shadow <- t.avail_shadow + 1;
-        Raw.set_avail_idx t.raw t.avail_shadow;
-        Ok head
-      end
+              lor if b.writable then desc_f_write else 0)
+            ~next:(if i < n - 1 then i + 1 else 0))
+        buffers;
+      let head = t.free_head in
+      Raw.store_desc t.raw (Raw.desc_va t.raw head) ~addr:table_va
+        ~len:(16 * n) ~flags:desc_f_indirect ~next:0;
+      t.free_head <- t.next_free.(head);
+      t.free_count <- t.free_count - 1;
+      t.chain_len.(head) <- 1;
+      publish t head;
+      Ok head
     end
 
-  let kick_needed t = Raw.used_flags t.raw land 1 = 0
-
-  let poll_used t =
+  (* The used ring is device-written memory: an id that is out of range,
+     or names no chain in flight (a repeat), is dropped and reported, never
+     trusted as an index. *)
+  let rec poll_used ?on_drop t =
     let used = Raw.used_idx t.raw in
     if used land 0xffff = t.used_seen land 0xffff then None
     else begin
-      let slot = t.used_seen mod size t in
+      let slot = t.used_seen land (size t - 1) in
       let id, written = Raw.used_ring t.raw slot in
       t.used_seen <- t.used_seen + 1;
-      t.completion_count <- t.completion_count + 1;
-      (* Recycle the chain's descriptors onto the free list. *)
-      let n = t.chain_len.(id) in
-      assert (n > 0);
-      let rec last i k = if k = 1 then i else last t.next_free.(i) (k - 1) in
-      (* Walk the stored shared-memory chain links to rebuild locality:
-         next pointers in the desc table are still intact. *)
-      let rec relink i k =
-        if k > 1 then begin
-          let _, _, _, next = Raw.read_desc t.raw i in
-          t.next_free.(i) <- next;
-          relink next (k - 1)
-        end
-      in
-      relink id n;
-      let tail = last id n in
-      t.next_free.(tail) <- t.free_head;
-      t.free_head <- id;
-      t.free_count <- t.free_count + n;
-      t.chain_len.(id) <- 0;
-      Some (id, written)
+      if id >= size t || t.chain_len.(id) = 0 then begin
+        Option.iter (fun f -> f id) on_drop;
+        poll_used ?on_drop t
+      end
+      else begin
+        t.completion_count <- t.completion_count + 1;
+        (* Recycle the chain's descriptors onto the free list. The links
+           [add] threaded through [next_free] are still in place; the
+           driver walks the chain's table entries as well, but keeps its
+           local links, since the device can write the table. *)
+        let n = t.chain_len.(id) in
+        let rec walk i k =
+          if k = 1 then i
+          else begin
+            Raw.load t.raw (Raw.desc_va t.raw i) 16;
+            walk t.next_free.(i) (k - 1)
+          end
+        in
+        let tail = walk id n in
+        t.next_free.(tail) <- t.free_head;
+        t.free_head <- id;
+        t.free_count <- t.free_count + n;
+        t.chain_len.(id) <- 0;
+        Some (id, written)
+      end
     end
 
   let completions t = t.completion_count
@@ -234,7 +239,7 @@ module Driver = struct
   module Snapshot = Lastcpu_sim.Snapshot
 
   let save w t =
-    Snapshot.W.i64 w t.raw.Raw.base;
+    Snapshot.W.i64 w (Raw.base t.raw);
     Snapshot.W.varint w t.raw.Raw.size;
     Snapshot.W.varint w t.free_head;
     Snapshot.W.varint w t.free_count;
@@ -258,7 +263,7 @@ module Driver = struct
     let used_seen = Snapshot.R.varint r in
     let completion_count = Snapshot.R.varint r in
     {
-      raw = { Raw.dma; base; size };
+      raw = Raw.make dma ~base ~size;
       free_head;
       free_count;
       next_free;
@@ -269,6 +274,8 @@ module Driver = struct
     }
 end
 
+exception Bad_chain of int
+
 module Device = struct
   type t = { raw : Raw.t; mutable avail_seen : int }
 
@@ -276,44 +283,54 @@ module Device = struct
 
   let create ~dma ~base ~size =
     check_size size;
-    { raw = { Raw.dma; base; size }; avail_seen = 0 }
+    { raw = Raw.make dma ~base ~size; avail_seen = 0 }
 
   let pending t =
     let avail = Raw.avail_idx t.raw in
     (avail - t.avail_seen) land 0xffff
 
+  (* The descriptor just loaded into [raw]'s buffer, as a segment. *)
+  let segment raw =
+    {
+      va = Raw.desc_addr raw;
+      len = Raw.desc_len raw;
+      writable = Raw.desc_flags raw land desc_f_write <> 0;
+    }
+
   let pop t =
     if pending t = 0 then None
     else begin
-      let slot = t.avail_seen mod t.raw.Raw.size in
-      let head = Raw.avail_ring t.raw slot in
+      let raw = t.raw in
+      let head = Raw.avail_ring raw (t.avail_seen land (raw.Raw.size - 1)) in
       t.avail_seen <- t.avail_seen + 1;
+      (* An indirect table is a driver buffer, not ring memory: a fault
+         reading it condemns the chain, not the queue. *)
       let read_indirect table_va bytes =
         let entries = bytes / 16 in
         let rec go i acc =
           if i >= entries then List.rev acc
           else begin
-            let off = Int64.add table_va (Int64.of_int (16 * i)) in
-            let va = Dma.read_u64 t.raw.Raw.dma off in
-            let len = Dma.read_u32 t.raw.Raw.dma (Int64.add off 8L) in
-            let flags = Dma.read_u16 t.raw.Raw.dma (Int64.add off 12L) in
-            let buf = { va; len; writable = flags land desc_f_write <> 0 } in
-            if flags land desc_f_next <> 0 then go (i + 1) (buf :: acc)
+            (* [next] is not read: indirect entries are sequential. *)
+            Raw.load raw (table_va + (16 * i)) 14;
+            let buf = segment raw in
+            if Raw.desc_flags raw land desc_f_next <> 0 then go (i + 1) (buf :: acc)
             else List.rev (buf :: acc)
           end
         in
-        go 0 []
+        try go 0 [] with Dma.Dma_fault _ -> raise (Bad_chain head)
       in
-      let rec walk i acc guard =
-        if guard > t.raw.Raw.size then
-          invalid_arg "Virtqueue.Device.pop: descriptor chain loop"
+      let rec walk i acc steps =
+        if i >= raw.Raw.size || steps >= raw.Raw.size then raise (Bad_chain head)
         else begin
-          let va, len, flags, next = Raw.read_desc t.raw i in
+          Raw.load raw (Raw.desc_va raw i) 16;
+          let flags = Raw.desc_flags raw in
           if flags land desc_f_indirect <> 0 then
-            List.rev_append acc (read_indirect va len)
+            List.rev_append acc
+              (read_indirect (Int64.to_int (Raw.desc_addr raw)) (Raw.desc_len raw))
           else begin
-            let buf = { va; len; writable = flags land desc_f_write <> 0 } in
-            if flags land desc_f_next <> 0 then walk next (buf :: acc) (guard + 1)
+            let buf = segment raw in
+            if flags land desc_f_next <> 0 then
+              walk (Raw.desc_next raw) (buf :: acc) (steps + 1)
             else List.rev (buf :: acc)
           end
         end
@@ -323,7 +340,8 @@ module Device = struct
 
   let push_used t ~head ~written =
     let used = Raw.used_idx t.raw in
-    Raw.set_used_ring t.raw (used mod t.raw.Raw.size) ~id:head ~len:written;
+    Raw.set_used_ring t.raw (used land (t.raw.Raw.size - 1)) ~id:head
+      ~len:written;
     Raw.set_used_idx t.raw (used + 1)
 
   (* Batched service. [drain] takes every available chain in one event and
@@ -334,12 +352,16 @@ module Device = struct
      per-entry used-ring access sequence of a [push_used] loop: ring
      traffic goes through the IOMMU, whose counters are folded into the
      golden digests, so batching may only save host time — closure
-     dispatch, list churn — never modeled accesses. *)
-  let drain_deferred t ~f =
+     dispatch, list churn — never modeled accesses. A {!Bad_chain} is
+     completed with 0 bytes written. *)
+  let drain_deferred ?(on_bad = ignore) t ~f =
     let rec go acc =
       match pop t with
       | None -> List.rev acc
       | Some chain -> go ((chain.head, f chain) :: acc)
+      | exception Bad_chain head ->
+        on_bad head;
+        go ((head, 0) :: acc)
     in
     go []
 
@@ -356,7 +378,7 @@ module Device = struct
   module Snapshot = Lastcpu_sim.Snapshot
 
   let save w t =
-    Snapshot.W.i64 w t.raw.Raw.base;
+    Snapshot.W.i64 w (Raw.base t.raw);
     Snapshot.W.varint w t.raw.Raw.size;
     Snapshot.W.varint w t.avail_seen
 
@@ -365,5 +387,5 @@ module Device = struct
     let size = Snapshot.R.varint r in
     check_size size;
     let avail_seen = Snapshot.R.varint r in
-    { raw = { Raw.dma; base; size }; avail_seen }
+    { raw = Raw.make dma ~base ~size; avail_seen }
 end

@@ -43,12 +43,11 @@ module Driver : sig
       driver-owned memory at [table_va] (16 bytes per segment) and a single
       ring descriptor points at them — long chains cost one ring slot. *)
 
-  val kick_needed : t -> bool
-  (** True when the device asked for notification (used-ring flags). *)
-
-  val poll_used : t -> (int * int) option
+  val poll_used : ?on_drop:(int -> unit) -> t -> (int * int) option
   (** [(head, written)] for the next completion, recycling its
-      descriptors. *)
+      descriptors. A used entry whose id is out of range or names no chain
+      in flight (a device that completes a chain twice) is skipped:
+      [on_drop] gets the id and polling goes on to the next entry. *)
 
   val completions : t -> int
 
@@ -62,6 +61,11 @@ module Driver : sig
       @raise Lastcpu_sim.Snapshot.R.Corrupt on malformed input. *)
 end
 
+exception Bad_chain of int
+(** A posted chain the device cannot walk: its head or a [next] link is
+    out of range, its links loop, or its indirect table faults. Carries
+    the chain's head. *)
+
 module Device : sig
   type t
 
@@ -72,7 +76,9 @@ module Device : sig
 
   val pop : t -> chain option
   (** Next posted chain from the available ring, walking descriptor
-      links. *)
+      links. Raises {!Bad_chain} for a malformed chain (consumed from the
+      ring all the same), and {!Dma.Dma_fault} when the ring itself
+      faults. *)
 
   val push_used : t -> head:int -> written:int -> unit
   (** Complete a chain, making it visible on the used ring. *)
@@ -84,12 +90,15 @@ module Device : sig
       number of chains drained. The ring access sequence is exactly that
       of a [pop]/[push_used] loop — the batching saves host work only,
       keeping the IOMMU/TLB accounting (and with it the golden digests)
-      unchanged. *)
+      unchanged. A {!Bad_chain} is completed with 0 bytes written; a ring
+      fault escapes as {!Dma.Dma_fault}. *)
 
-  val drain_deferred : t -> f:(chain -> int) -> (int * int) list
+  val drain_deferred :
+    ?on_bad:(int -> unit) -> t -> f:(chain -> int) -> (int * int) list
   (** The pop half of {!drain}: service every available chain but return
       the [(head, written)] completions instead of publishing them, for
-      devices that surface completions after a simulated delay. *)
+      devices that surface completions after a simulated delay. Each
+      {!Bad_chain}'s head goes to [on_bad]. *)
 
   val publish_used : t -> (int * int) list -> unit
   (** The publish half of {!drain}: push each completion onto the used

@@ -38,6 +38,34 @@ let test_job_roundtrips () =
       | Error e -> Alcotest.fail e)
     outcomes
 
+(* The encoders are pinned to the bytes of the reference [Wire.Writer]
+   encoders they replaced, one case per constructor. *)
+let test_encoders_pinned () =
+  let hex s =
+    String.concat ""
+      (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+  in
+  List.iter
+    (fun (j, want) ->
+      Alcotest.(check string) "job bytes" want (hex (Accel_proto.encode_job j)))
+    [
+      (Accel_proto.Checksum { va = 0x4000_0000L; len = 4096 }, "0000000040000000008020");
+      (Accel_proto.Word_count { va = 0x1234L; len = 5 }, "01341200000000000005");
+      ( Accel_proto.Upper { src = 0x5000_0000L; dst = 0x5000_1000L; len = 200 },
+        "0200000050000000000010005000000000c801" );
+      ( Accel_proto.Histogram { va = 0x6000_0000L; len = 70000; dst = -1L },
+        "030000006000000000f0a204ffffffffffffffff" );
+    ];
+  List.iter
+    (fun (o, want) ->
+      Alcotest.(check string) "outcome bytes" want (hex (Accel_proto.encode_outcome o)))
+    [
+      (Accel_proto.Value (-1L), "00ffffffffffffffff");
+      (Accel_proto.Value 42L, "002a00000000000000");
+      (Accel_proto.Written 2048, "018010");
+      (Accel_proto.Fault "iommu", "0205696f6d6d75");
+    ]
+
 let test_job_bytes () =
   Alcotest.(check int) "checksum" 100
     (Accel_proto.job_bytes (Accel_proto.Checksum { va = 0L; len = 100 }));
@@ -216,6 +244,8 @@ let () =
         [
           Alcotest.test_case "roundtrips" `Quick test_job_roundtrips;
           Alcotest.test_case "job bytes" `Quick test_job_bytes;
+          Alcotest.test_case "encoders pinned to reference bytes" `Quick
+            test_encoders_pinned;
         ] );
       ( "jobs",
         [

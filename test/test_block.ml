@@ -8,6 +8,13 @@ module Smart_nic = Lastcpu_devices.Smart_nic
 module Memctl = Lastcpu_devices.Memctl
 module File_client = Lastcpu_devices.File_client
 module Ssd_proto = Lastcpu_devices.Ssd_proto
+module Device = Lastcpu_device.Device
+module Engine = Lastcpu_sim.Engine
+module Metrics = Lastcpu_sim.Metrics
+module Types = Lastcpu_proto.Types
+module Message = Lastcpu_proto.Message
+module Vq = Lastcpu_virtio.Virtqueue
+module Dma = Lastcpu_virtio.Dma
 
 let rig () =
   let system = System.build () in
@@ -208,6 +215,133 @@ let test_ssd_proto_view_roundtrip () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "truncated view decoded"
 
+(* A client that posts chains the SSD cannot serve — a buffer outside its
+   grant, a descriptor loop, a head past the queue — gets each completed
+   with 0 bytes written, and a queue whose ring faults is detached; the
+   emulator itself keeps running. The second queue lives in the last,
+   idle request slot of the file client's granted region. *)
+let test_hostile_chains_do_not_crash () =
+  let system = System.build () in
+  let ssd = System.ssd system 0 in
+  (match Fs.mkdir (Smart_ssd.fs ssd) ~user:"root" ~mode:0o777 "/vol" with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (Fs.error_to_string e));
+  (match System.boot system with Ok () -> () | Error e -> Alcotest.fail e);
+  let dev = Smart_nic.device (System.nic system 0) in
+  let provider = Smart_ssd.id ssd in
+  let pasid = System.fresh_pasid system in
+  let shm_va = 0x4000_0000L in
+  let fc = ref None in
+  File_client.connect dev ~memctl:(Memctl.id (System.memctl system)) ~pasid
+    ~shm_va ~user:"blk" ~path_hint:"/vol/disk0" (fun r -> fc := Result.to_option r);
+  System.run_until_idle system;
+  let fc = match !fc with Some fc -> fc | None -> Alcotest.fail "connect failed" in
+  let misuse name =
+    let ssd_dev = Smart_ssd.device ssd in
+    Metrics.counter_read (Engine.metrics (Device.engine ssd_dev))
+      ~actor:(Device.actor ssd_dev) ~name
+  in
+  let attach ~queue ~base =
+    let reply = ref None in
+    Device.request dev ~dst:(Types.Device provider)
+      (Message.App_message
+         {
+           tag = "vq-attach";
+           body = Smart_ssd.encode_vq_attach ~queue ~base ~size:4 ~pasid ~user:"blk";
+         })
+      (fun p -> reply := Some p);
+    match sync system reply with
+    | Message.App_message { tag = "vq-ok"; _ } -> ()
+    | _ -> Alcotest.fail "vq-attach refused"
+  in
+  let dma = Device.dma dev ~pasid in
+  let base = Int64.add shm_va 0xF000L in
+  let queue = Device.fresh_queue_id dev in
+  attach ~queue ~base;
+  let driver = Vq.Driver.create ~dma ~base ~size:4 in
+  let ring () =
+    Device.doorbell dev ~dst:provider ~queue;
+    System.run_until_idle system
+  in
+  let req = Int64.add base 0x100L and resp = Int64.add base 0x800L in
+  let post buffers =
+    match Vq.Driver.add driver buffers with
+    | Ok head -> head
+    | Error e -> Alcotest.fail e
+  in
+  let expect_zero_completion what head =
+    match Vq.Driver.poll_used driver with
+    | Some (h, written) ->
+      Alcotest.(check int) (what ^ ": head") head h;
+      Alcotest.(check int) (what ^ ": 0 bytes written") 0 written
+    | None -> Alcotest.fail (what ^ ": no completion")
+  in
+  (* 1. A request buffer outside the grant. *)
+  let head =
+    post
+      [
+        { Vq.va = 0x7000_0000L; len = 16; writable = false };
+        { Vq.va = resp; len = 64; writable = true };
+      ]
+  in
+  ring ();
+  expect_zero_completion "outside grant" head;
+  Alcotest.(check int) "bad chain counted" 1 (misuse "bad_chains");
+  (* 2. A descriptor loop: the chain's tail links back to its head. *)
+  let head =
+    post
+      [
+        { Vq.va = req; len = 16; writable = false };
+        { Vq.va = resp; len = 64; writable = true };
+      ]
+  in
+  let desc i = Int64.add base (Int64.of_int (16 * i)) in
+  let tail = Dma.read_u16 dma (Int64.add (desc head) 14L) in
+  Dma.write_u16 dma (Int64.add (desc tail) 12L) 1 (* NEXT *);
+  Dma.write_u16 dma (Int64.add (desc tail) 14L) head;
+  ring ();
+  expect_zero_completion "descriptor loop" head;
+  Alcotest.(check int) "loop counted" 2 (misuse "bad_chains");
+  (* 3. A head past the end of the queue: the device completes id 9, and
+     the driver drops that id rather than index with it. *)
+  ignore (post [ { Vq.va = req; len = 16; writable = false } ]);
+  let avail_idx = Dma.read_u16 dma (Int64.add base 66L) in
+  Dma.write_u16 dma
+    (Int64.add base (Int64.of_int (64 + 4 + (2 * ((avail_idx - 1) land 3)))))
+    9;
+  ring ();
+  Alcotest.(check int) "out-of-range head counted" 3 (misuse "bad_chains");
+  let dropped = ref [] in
+  Alcotest.(check bool) "no completion for a foreign id" true
+    (Vq.Driver.poll_used ~on_drop:(fun id -> dropped := id :: !dropped) driver
+    = None);
+  Alcotest.(check (list int)) "id 9 dropped" [ 9 ] !dropped;
+  Alcotest.(check int) "clean run counters absent" 0 (misuse "ring_faults");
+  (* 4. A queue whose ring lies outside the grant is detached. *)
+  let active = Smart_ssd.active_queues ssd in
+  let queue2 = Device.fresh_queue_id dev in
+  attach ~queue:queue2 ~base:0x7000_0000L;
+  Device.doorbell dev ~dst:provider ~queue:queue2;
+  System.run_until_idle system;
+  Alcotest.(check int) "ring fault counted" 1 (misuse "ring_faults");
+  Alcotest.(check int) "faulting queue detached" active
+    (Smart_ssd.active_queues ssd);
+  attach ~queue:queue2 ~base;
+  (* 5. A used entry in the file client's own ring that names no request
+     in flight: the client drops and counts it, then serves the next
+     completion as usual. *)
+  let used_off = (64 * 16) + 4 + (64 * 2) in
+  let used_idx = Dma.read_u16 dma (Int64.add shm_va (Int64.of_int (used_off + 2))) in
+  let elem = Int64.add shm_va (Int64.of_int (used_off + 4 + (8 * (used_idx land 63)))) in
+  Dma.write_u32 dma elem 63;
+  Dma.write_u32 dma (Int64.add elem 4L) 0;
+  Dma.write_u16 dma (Int64.add shm_va (Int64.of_int (used_off + 2))) (used_idx + 1);
+  let h = bopen system fc "/vol/disk0" in
+  Alcotest.(check bool) "file client still served" true (h > 0);
+  Alcotest.(check int) "foreign completion dropped and counted" 1
+    (Metrics.counter_read (Engine.metrics (Device.engine dev))
+       ~actor:(Device.actor dev) ~name:"vq_dropped_completions")
+
 let () =
   Alcotest.run "block"
     [
@@ -222,5 +356,7 @@ let () =
           Alcotest.test_case "connection-scoped handles" `Quick
             test_handles_are_connection_scoped;
           Alcotest.test_case "durable via fs" `Quick test_block_data_durable_via_fs;
+          Alcotest.test_case "hostile chains do not crash the device" `Quick
+            test_hostile_chains_do_not_crash;
         ] );
     ]

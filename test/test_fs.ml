@@ -587,6 +587,71 @@ let fs_reference_prop ~cache =
       in
       clean && matches_model fs final && matches_model (reload ~cache fs ftl) final)
 
+(* --- equivalence with the pre-change lookup and allocator ------------------ *)
+
+(* A fixed workload over directory and allocation corner cases: a
+   directory two blocks long (the whole-directory path, entries
+   straddling blocks), names that are prefixes of each other or differ in
+   one byte (NUL and 0xff included), and first-fit allocation past whole
+   bitmap bytes and words into a freed hole. Its lookups, block counters
+   and storage image are pinned to the values the list-parsing lookup and
+   bit-at-a-time allocator produced. *)
+let fs_equivalence_run ~cache =
+  let m = Lastcpu_sim.Metrics.create () in
+  let nand = Nand.create ~geometry () in
+  let ftl = Ftl.create ~nand () in
+  let fs = ok (Fs.format ~cache ~metrics:m ~actor:"fs" ftl) in
+  let mk p = ok (Fs.create fs ~user:"u" p) in
+  ok (Fs.mkdir fs ~user:"u" "/big");
+  for i = 0 to 39 do
+    mk (Printf.sprintf "/big/entry-%02d-%s" i (String.make (100 + (i mod 7)) 'x'))
+  done;
+  ok (Fs.mkdir fs ~user:"u" "/p");
+  let alike = [ "a"; "ab"; "abc"; "abcd"; "b"; "ba"; "a\000"; "a\255"; "abd"; "abce" ] in
+  List.iter (fun n -> mk ("/p/" ^ n)) alike;
+  mk "/fill";
+  ok (Fs.write fs ~user:"u" "/fill" ~off:0 (String.make (90 * 4096) 'f'));
+  List.iter (fun n -> mk n) [ "/s1"; "/s2"; "/s3" ];
+  List.iter (fun n -> ok (Fs.write fs ~user:"u" n ~off:0 (String.make 4096 'g'))) [ "/s1"; "/s2"; "/s3" ];
+  ok (Fs.unlink fs ~user:"u" "/s2");
+  mk "/s4";
+  ok (Fs.write fs ~user:"u" "/s4" ~off:0 (String.make 8192 'h'));
+  let probe p =
+    match Fs.stat fs p with
+    | Ok st -> string_of_int st.Fs.ino
+    | Error (Fs.Not_found_e _) -> "nf"
+    | Error (Fs.Not_a_directory _) -> "nd"
+    | Error e -> Fs.error_to_string e
+  in
+  let looked =
+    List.map probe
+      (List.map
+         (fun (i, pad) -> Printf.sprintf "/big/entry-%02d-%s" i (String.make pad 'x'))
+         [ (0, 100); (17, 103); (36, 101); (39, 104); (39, 103); (40, 100) ]
+      @ List.map (fun n -> "/p/" ^ n) (alike @ [ "abcde"; "a\001"; "" ])
+      @ [ "/p/a/b"; "/s2"; "/s4"; "/fill/x"; "/nope/x" ])
+  in
+  let count name = Lastcpu_sim.Metrics.counter_read m ~actor:"fs" ~name in
+  let w = Lastcpu_sim.Snapshot.W.create () in
+  Nand.save w nand;
+  Ftl.save w ftl;
+  Fs.save w fs;
+  ( String.concat "," looked,
+    (count "block_reads", count "block_writes", count "cache_hits"),
+    Digest.to_hex (Digest.string (Lastcpu_sim.Snapshot.W.contents w)) )
+
+let test_fs_equivalence ~cache () =
+  let looked, counts, image = fs_equivalence_run ~cache in
+  Alcotest.(check string) "lookup results"
+    "2,19,38,41,nf,nf,43,44,45,46,47,48,49,50,51,52,nf,nf,42,nd,nf,55,nd,nf" looked;
+  Alcotest.(check (triple int int int)) "block_reads, block_writes, cache_hits"
+    (2570, 624, if cache then 2570 else 0)
+    counts;
+  Alcotest.(check string) "storage image (md5)"
+    (if cache then "9eca346636d24e103769c6525c9daba3"
+     else "6b7eb6ae78df8e3e25823b64e2e69b7a")
+    image
+
 let () =
   Alcotest.run "fs"
     [
@@ -626,5 +691,9 @@ let () =
           QCheck_alcotest.to_alcotest fs_model_prop;
           QCheck_alcotest.to_alcotest (fs_reference_prop ~cache:true);
           QCheck_alcotest.to_alcotest (fs_reference_prop ~cache:false);
+          Alcotest.test_case "lookup and allocation pinned (cache)" `Quick
+            (test_fs_equivalence ~cache:true);
+          Alcotest.test_case "lookup and allocation pinned (no cache)" `Quick
+            (test_fs_equivalence ~cache:false);
         ] );
     ]

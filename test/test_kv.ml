@@ -306,6 +306,44 @@ let test_kv_proto_roundtrips () =
       | Error e -> Alcotest.fail e)
     resps
 
+(* The encoders are pinned to the bytes of the reference [Wire.Writer]
+   encoders they replaced, one case per constructor. *)
+let hex s =
+  String.concat ""
+    (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+
+let test_kv_proto_pinned_bytes () =
+  List.iter
+    (fun (r, want) ->
+      Alcotest.(check string) "request bytes" want (hex (Kv_proto.encode_request r)))
+    [
+      ({ Kv_proto.corr = 7; op = Kv_proto.Get "k" }, "0700016b");
+      ( { Kv_proto.corr = 300; op = Kv_proto.Put ("key", "value") },
+        "ac0201036b65790576616c7565" );
+      ({ Kv_proto.corr = 0; op = Kv_proto.Del "gone" }, "000204676f6e65");
+      ({ Kv_proto.corr = 128; op = Kv_proto.Scan "pre" }, "80010303707265");
+    ];
+  let big = String.init 300 (fun i -> Char.chr (97 + (i mod 26))) in
+  Alcotest.(check string) "300-byte put (md5)" "520a318205ce3bf0d076eae903d26cc5"
+    (Digest.to_hex
+       (Digest.string
+          (Kv_proto.encode_request
+             { Kv_proto.corr = 99999; op = Kv_proto.Put ("big", big) })));
+  List.iter
+    (fun (r, want) ->
+      Alcotest.(check string) "response bytes" want (hex (Kv_proto.encode_response r)))
+    [
+      ({ Kv_proto.corr = 1; reply = Kv_proto.Value (Some "v") }, "0100010176");
+      ({ Kv_proto.corr = 2; reply = Kv_proto.Value None }, "020000");
+      ({ Kv_proto.corr = 3; reply = Kv_proto.Done }, "0301");
+      ({ Kv_proto.corr = 4; reply = Kv_proto.Deleted true }, "040201");
+      ({ Kv_proto.corr = 5; reply = Kv_proto.Deleted false }, "050200");
+      ( { Kv_proto.corr = 6; reply = Kv_proto.Pairs [ ("a", "1"); ("b", "22") ] },
+        "060302016101310162023232" );
+      ({ Kv_proto.corr = 7; reply = Kv_proto.Pairs [] }, "070300");
+      ({ Kv_proto.corr = 8; reply = Kv_proto.Failed "nope" }, "0804046e6f7065");
+    ]
+
 let test_kv_proto_rejects_garbage () =
   (match Kv_proto.decode_request "\xff\xff\xff" with
   | Error _ -> ()
@@ -601,6 +639,8 @@ let () =
         [
           Alcotest.test_case "roundtrips" `Quick test_kv_proto_roundtrips;
           Alcotest.test_case "rejects garbage" `Quick test_kv_proto_rejects_garbage;
+          Alcotest.test_case "encoders pinned to reference bytes" `Quick
+            test_kv_proto_pinned_bytes;
         ] );
       ( "full stack",
         [

@@ -165,19 +165,22 @@ let test_physmem_sparse () =
 
 module Snapshot = Lastcpu_sim.Snapshot
 
-(* read_byte/write_byte are the int-native aliases of read_u8/write_u8 —
-   same store, same bounds discipline. *)
+(* load/store are the int-native forms of read_u8/write_u8 over a few
+   bytes — same store, same bounds discipline. *)
 let test_physmem_byte_aliases () =
   let m = Physmem.create ~size:1_000_000L () in
-  Physmem.write_byte m 4097 0xAB;
+  let b = Bytes.make 2 '\xAB' in
+  Physmem.store m 4097 b ~pos:0 ~len:1;
   Alcotest.(check int) "int write, i64 read" 0xAB (Physmem.read_u8 m 4097L);
-  Physmem.write_u8 m 4098L 0xCD;
-  Alcotest.(check int) "i64 write, int read" 0xCD (Physmem.read_byte m 4098);
-  Alcotest.(check int) "unmaterialised frame reads zero" 0
-    (Physmem.read_byte m 900_000);
+  Physmem.write_u8 m 4099L 0xCD;
+  Physmem.load m 4098 b ~pos:0 ~len:2;
+  Alcotest.(check string) "i64 write, int read" "\000\xCD" (Bytes.to_string b);
+  Physmem.load m 900_000 b ~pos:0 ~len:2;
+  Alcotest.(check string) "unmaterialised frame reads zero" "\000\000"
+    (Bytes.to_string b);
   Alcotest.check_raises "int bounds enforced"
     (Invalid_argument "Physmem: access [0xf4240, +1) out of range") (fun () ->
-      ignore (Physmem.read_byte m 1_000_000))
+      Physmem.load m 1_000_000 b ~pos:0 ~len:1)
 
 (* A view is a real window onto DRAM: bytes written through it are seen by
    the copy path (including the cached chunk accessor) and vice versa. *)
@@ -190,7 +193,7 @@ let test_physmem_view_coherence () =
   Bigarray.Array1.set v 0 'B';
   Alcotest.(check string) "copy path sees view writes" "Before"
     (Physmem.read_bytes m 8192L 6);
-  Physmem.write_byte m 8193 (Char.code 'E');
+  Physmem.store m 8193 (Bytes.of_string "E") ~pos:0 ~len:1;
   Alcotest.(check char) "view sees byte-path writes" 'E'
     (Bigarray.Array1.get v 1);
   (* Views must not cross the 64 KiB backing-chunk boundary. *)
@@ -232,12 +235,12 @@ let test_physmem_snapshot_roundtrip () =
      one-entry caches cannot leak stale pre-restore bytes. *)
   let m3 = Physmem.create ~size:2_000_000L () in
   Physmem.write_bytes m3 0L "stale stale";
-  ignore (Physmem.read_byte m3 4);
+  ignore (Physmem.read_u8 m3 4L);
   Physmem.restore (Snapshot.R.of_string (Snapshot.W.contents w)) m3;
   Alcotest.(check string) "restore overwrote dirty target" "frame zero"
     (Physmem.read_bytes m3 0L 10);
   Alcotest.(check int) "cached chunk not stale" (Char.code 'r')
-    (Physmem.read_byte m3 1)
+    (Physmem.read_u8 m3 1L)
 
 (* The snapshot byte format predates the Bigarray backing: a checkpoint
    handcrafted in the old writer's layout (i64 size, then a (i64 page
